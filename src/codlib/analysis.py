@@ -8,7 +8,7 @@ from math import comb
 from typing import Optional
 
 from .bitvec import BitVec
-from .errors import DesignError
+from .errors import DesignError, ParameterError
 from .model import CodMatrix, Entry, zero_pattern
 
 
@@ -83,7 +83,7 @@ class BoundsReport:
 def max_rate(n: int) -> Fraction:
     """Tight rate bound (m+1)/(2m) with m = ceil(n/2)."""
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise ParameterError(f"n must be >= 1, got {n}")
     m = (n + 1) // 2
     return Fraction(m + 1, 2 * m)
 
@@ -91,7 +91,7 @@ def max_rate(n: int) -> Fraction:
 def min_delay(n: int) -> int:
     """Tight delay bound at maximal rate; doubled when n = 2 (mod 4)."""
     if n < 2:
-        raise ValueError("n must be >= 2")
+        raise ParameterError(f"n must be >= 2, got {n}")
     m = (n + 1) // 2
     base = comb(2 * m, m - 1)
     return 2 * base if n % 4 == 2 else base

@@ -75,10 +75,6 @@ class BitVec:
         window = ((1 << (t - s + 1)) - 1) << (s - 1)
         return (self.mask & window).bit_count()
 
-    def order_key(self) -> int:
-        """Total-order encoding: sum of bit(i) * 2^i.  Injective per length."""
-        return self.mask << 1
-
     def support(self) -> list[int]:
         """1-based positions of the set bits."""
         return [i for i in range(1, self.length + 1) if self.bit(i)]
@@ -91,9 +87,6 @@ class BitVec:
                 f"length mismatch: {self.length} vs {other.length}"
             )
         return BitVec(self.length, self.mask ^ other.mask)
-
-    def __lt__(self, other: "BitVec") -> bool:
-        return self.order_key() < other.order_key()
 
     def __iter__(self) -> Iterator[int]:
         return (self.bit(i) for i in range(1, self.length + 1))

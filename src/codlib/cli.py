@@ -20,12 +20,12 @@ EXIT_USAGE = 2
 EXIT_INVALID = 3
 
 
-def _read_design(path: str):
+def _read_file(path: str, parse=fileio.design_from_json):
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise MalformedFileError(str(exc), path)
-    return fileio.design_from_json(text)
+    return parse(text)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -43,11 +43,11 @@ def _cmd_generate(args) -> int:
 
 def _cmd_verify(args) -> int:
     if args.certificate:
-        m, constraints = fileio.certificate_from_json(Path(args.file).read_text())
+        m, constraints = _read_file(args.file, fileio.certificate_from_json)
         ok = generator.check_certificate(m, constraints)
         print("certificate valid" if ok else "certificate INVALID")
         return EXIT_OK if ok else EXIT_FALSE
-    cod = _read_design(args.file)
+    cod = _read_file(args.file)
     report = verify_symbolic(cod)
     if not report.ok:
         for where, residual in report.failures:
@@ -67,15 +67,15 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_canonicalize(args) -> int:
-    cod = _read_design(args.file)
+    cod = _read_file(args.file)
     canon = equivalence.canonicalize(cod)
     _emit(fileio.design_to_json(canon), args.output)
     return EXIT_OK
 
 
 def _cmd_equivalent(args) -> int:
-    a = _read_design(args.a)
-    b = _read_design(args.b)
+    a = _read_file(args.a)
+    b = _read_file(args.b)
     if equivalence.equivalent(a, b):
         print("equivalent")
         return EXIT_OK
@@ -108,7 +108,7 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_scramble(args) -> int:
-    cod = _read_design(args.file)
+    cod = _read_file(args.file)
     out, ops = equivalence.scramble(cod, seed=args.seed, count=args.count)
     if not verify_symbolic(out).ok:
         raise InvalidDesignError("scramble output fails verification")
@@ -120,7 +120,7 @@ def _cmd_scramble(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    cod = _read_design(args.file)
+    cod = _read_file(args.file)
     rep = verify_symbolic(cod)
     print(f"[{cod.p},{cod.n},{cod.k}] m={cod.m}")
     print(f"orthogonal: {'yes' if rep.ok else 'NO'}")
@@ -134,7 +134,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    cod = _read_design(args.file)
+    cod = _read_file(args.file)
     if args.format == "json":
         text = fileio.design_to_json(cod)
     elif args.format == "csv":

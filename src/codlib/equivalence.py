@@ -179,24 +179,25 @@ def _family_m(cod: CodMatrix) -> int:
 
 def _restore_separation(cod: CodMatrix, m: int) -> CodMatrix:
     """Flip whole variables so row conjugation matches row weight."""
-    weights = {
-        r: sum(1 for e in cod.row(r) if e is not None)
-        for r in range(1, cod.p + 1)
-    }
-    if any(w not in (m, m + 1) for w in weights.values()):
+    weights = [sum(1 for e in row if e is not None) for row in cod.cells]
+    if any(w not in (m, m + 1) for w in weights):
         raise InvalidDesignError("row nonzero counts are not m or m+1")
-    out = cod
+    flip: set[BitVec] = set()
     for var in cod.variables():
         # desired: conjugated exactly in rows with m nonzero entries
-        wanted = [(weights[r] == m) == e.conj for r, _, e in cod.instances(var)]
+        wanted = [(weights[r - 1] == m) == e.conj for r, _, e in cod.instances(var)]
         if all(wanted):
             continue
         if any(wanted):
             raise InvalidDesignError(
                 f"variable {var} cannot be conjugation separated"
             )
-        out = apply_op(out, ConjVar(var))
-    return out
+        flip.add(var)
+    rows = [
+        [e.conjugated() if e is not None and e.var in flip else e for e in row]
+        for row in cod.cells
+    ]
+    return CodMatrix.from_rows(cod.m, rows)
 
 
 def _canonical_rename(cod: CodMatrix, m: int) -> CodMatrix:
@@ -240,7 +241,7 @@ def _lexmin_signs(cod: CodMatrix) -> CodMatrix:
     moves span a GF(2) subspace over the nonzero cells, and the greedy
     pivot reduction yields the unique lexicographically minimal shift.
     """
-    order = sorted(range(1, cod.p + 1), key=lambda r: row_id(cod, r).order_key())
+    order = sorted(range(1, cod.p + 1), key=lambda r: row_id(cod, r).mask)
     cell_index: dict[tuple[int, int], int] = {}
     for r in order:
         for c in range(1, cod.n + 1):

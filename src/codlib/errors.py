@@ -5,7 +5,7 @@ class DesignError(Exception):
     """Base class for all design-related errors."""
 
 
-class ParameterError(DesignError):
+class ParameterError(DesignError, ValueError):
     """Parameters outside the supported family or range."""
 
 

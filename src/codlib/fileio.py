@@ -8,6 +8,7 @@ timestamps, stable key order.
 from __future__ import annotations
 
 import json
+import math
 from typing import Sequence
 
 from .bitvec import BitVec
@@ -58,40 +59,68 @@ def design_to_json(cod: CodMatrix) -> str:
     return json.dumps(doc, indent=1, sort_keys=True) + "\n"
 
 
-def _require(doc: dict, key: str, where: str):
+def _require(doc, key: str, where: str):
+    if not isinstance(doc, dict):
+        raise MalformedFileError("expected an object", where)
     if key not in doc:
         raise MalformedFileError(f"missing field {key!r}", where)
     return doc[key]
 
 
-def design_from_json(text: str) -> CodMatrix:
+def _int(doc, key: str, where: str, low: int, high: float = math.inf) -> int:
+    value = _require(doc, key, where)
+    if type(value) is not int or not low <= value <= high:
+        raise MalformedFileError(
+            f"{key} {value!r} is not an integer in {low}..{high}", where
+        )
+    return value
+
+
+def _list(doc: dict, key: str) -> list:
+    value = _require(doc, key, "document")
+    if not isinstance(value, list):
+        raise MalformedFileError(f"{key} must be a list, got {value!r}", key)
+    return value
+
+
+def _bitvec(item, key: str, where: str) -> BitVec:
+    text = _require(item, key, where)
+    if not isinstance(text, str):
+        raise MalformedFileError(f"{key} must be a bit string, got {text!r}", where)
+    try:
+        return BitVec.from_string(text)
+    except ValueError as exc:
+        raise MalformedFileError(str(exc), where)
+
+
+def _load(text: str, fmt: str) -> dict:
+    """Parse a versioned JSON document and check its format and version."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise MalformedFileError(f"not valid JSON: {exc}", f"line {exc.lineno}")
-    if not isinstance(doc, dict):
-        raise MalformedFileError("top level must be an object", "document")
-    if _require(doc, "format", "document") != DESIGN_FORMAT:
-        raise MalformedFileError(
-            f"unexpected format {doc['format']!r}", "format"
-        )
+    if _require(doc, "format", "document") != fmt:
+        raise MalformedFileError(f"unexpected format {doc['format']!r}", "format")
     if _require(doc, "version", "document") != FORMAT_VERSION:
         raise MalformedFileError(
             f"unsupported version {doc['version']!r}", "version"
         )
-    m = _require(doc, "m", "document")
-    p = _require(doc, "p", "document")
-    n = _require(doc, "n", "document")
-    k = _require(doc, "k", "document")
+    return doc
+
+
+def design_from_json(text: str) -> CodMatrix:
+    doc = _load(text, DESIGN_FORMAT)
+    m = _int(doc, "m", "document", 1)
+    p = _int(doc, "p", "document", 1)
+    n = _int(doc, "n", "document", 1)
+    k = _int(doc, "k", "document", 0)
+    if m != (n + 1) // 2:
+        raise MalformedFileError(f"m={m} but n={n} needs m={(n + 1) // 2}", "m")
     rows: list[list] = [[None] * n for _ in range(p)]
-    for idx, item in enumerate(_require(doc, "entries", "document")):
+    for idx, item in enumerate(_list(doc, "entries")):
         where = f"entries[{idx}]"
-        r = _require(item, "row", where)
-        c = _require(item, "col", where)
-        if not (isinstance(r, int) and 1 <= r <= p):
-            raise MalformedFileError(f"row {r!r} out of range 1..{p}", where)
-        if not (isinstance(c, int) and 1 <= c <= n):
-            raise MalformedFileError(f"col {c!r} out of range 1..{n}", where)
+        r = _int(item, "row", where, 1, p)
+        c = _int(item, "col", where, 1, n)
         if rows[r - 1][c - 1] is not None:
             raise MalformedFileError(f"duplicate cell ({r},{c})", where)
         sign = _require(item, "sign", where)
@@ -100,10 +129,7 @@ def design_from_json(text: str) -> CodMatrix:
         conj = _require(item, "conj", where)
         if not isinstance(conj, bool):
             raise MalformedFileError(f"conj must be boolean, got {conj!r}", where)
-        try:
-            var = BitVec.from_string(_require(item, "var", where))
-        except ValueError as exc:
-            raise MalformedFileError(str(exc), where)
+        var = _bitvec(item, "var", where)
         rows[r - 1][c - 1] = Entry(var, 1 if sign == "+" else -1, conj)
     cod = CodMatrix.from_rows(m, rows)
     if cod.k != k:
@@ -130,21 +156,13 @@ def certificate_to_json(m: int, cert: InconsistencyCertificate) -> str:
 
 
 def certificate_from_json(text: str) -> tuple[int, list[Constraint]]:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise MalformedFileError(f"not valid JSON: {exc}", f"line {exc.lineno}")
-    if _require(doc, "format", "document") != CERT_FORMAT:
-        raise MalformedFileError(f"unexpected format {doc['format']!r}", "format")
-    m = _require(doc, "m", "document")
+    doc = _load(text, CERT_FORMAT)
+    m = _int(doc, "m", "document", 1)
     constraints = []
-    for idx, item in enumerate(_require(doc, "constraints", "document")):
+    for idx, item in enumerate(_list(doc, "constraints")):
         where = f"constraints[{idx}]"
-        try:
-            a = BitVec.from_string(_require(item, "a", where))
-            b = BitVec.from_string(_require(item, "b", where))
-        except ValueError as exc:
-            raise MalformedFileError(str(exc), where)
+        a = _bitvec(item, "a", where)
+        b = _bitvec(item, "b", where)
         c = _require(item, "parity", where)
         if c not in (0, 1):
             raise MalformedFileError(f"parity must be 0 or 1, got {c!r}", where)

@@ -42,12 +42,12 @@ def _check_m(m: int) -> None:
 
 
 def row_ids_for(m: int) -> list[BitVec]:
-    """All weight-(m+1) vectors in F_2^{2m}, ascending by order key."""
+    """All weight-(m+1) vectors in F_2^{2m}, ascending by mask."""
     ids = [
         BitVec(2 * m, sum(1 << (i - 1) for i in pos))
         for pos in combinations(range(1, 2 * m + 1), m + 1)
     ]
-    ids.sort(key=BitVec.order_key)
+    ids.sort(key=lambda v: v.mask)
     return ids
 
 
@@ -91,10 +91,6 @@ class ParitySolution:
     assignment: dict[BitVec, int]
     components: int
 
-    @property
-    def solution_count_log2(self) -> int:
-        return self.components
-
 
 @dataclass
 class InconsistencyCertificate:
@@ -126,9 +122,7 @@ def build_extension_system(g: CodMatrix) -> ParitySystem:
     e = BitVec.ones(two_m)
     e_2m = BitVec.unit(two_m, two_m)
     ids = [row_id(g, r) for r in range(1, g.p + 1)]
-    unknowns = sorted(
-        (a for a in ids if a.bit(two_m) == 1), key=BitVec.order_key
-    )
+    unknowns = sorted((a for a in ids if a.bit(two_m) == 1), key=lambda v: v.mask)
     seen: dict[frozenset, int] = {}
     constraints: list[Constraint] = []
     for alpha in unknowns:
@@ -212,7 +206,7 @@ def solve_parity(sys: ParitySystem) -> ParityOutcome:
     assignment: dict[BitVec, int] = {}
     for members in roots.values():
         # pin the smallest member of each component to 0
-        base = min(members, key=BitVec.order_key)
+        base = min(members, key=lambda v: v.mask)
         _, pb = find(base)
         for v in members:
             _, pv = find(v)
@@ -304,5 +298,5 @@ def extend_g(m: int) -> ExtensionResult:
     return ExtensionResult(
         column=tuple(column),
         design=design,
-        solution_count_log2=outcome.solution_count_log2,
+        solution_count_log2=outcome.components,
     )

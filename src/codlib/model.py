@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -74,25 +75,31 @@ class CodMatrix:
         return self.cells[row - 1]
 
     def variables(self) -> list[BitVec]:
-        """Distinct variable ids, ascending by order key."""
+        """Distinct variable ids, ascending by mask."""
         seen = {e.var for row in self.cells for e in row if e is not None}
-        return sorted(seen, key=BitVec.order_key)
+        return sorted(seen, key=lambda v: v.mask)
 
-    def instances(self, var: BitVec) -> list[tuple[int, int, Entry]]:
-        """All (row, col, entry) where the given variable appears."""
-        out = []
+    @cached_property
+    def _instance_index(self) -> dict[BitVec, list[tuple[int, int, Entry]]]:
+        index: dict[BitVec, list[tuple[int, int, Entry]]] = {}
         for r, row in enumerate(self.cells, start=1):
             for c, e in enumerate(row, start=1):
-                if e is not None and e.var == var:
-                    out.append((r, c, e))
-        return out
+                if e is not None:
+                    index.setdefault(e.var, []).append((r, c, e))
+        return index
+
+    def instances(self, var: BitVec) -> list[tuple[int, int, Entry]]:
+        """All (row, col, entry) where the given variable appears, row-major.
+
+        The var -> instances index is built on the first call and kept.
+        """
+        return list(self._instance_index.get(var, ()))
 
 
 def zero_pattern(cod: CodMatrix, row: int) -> BitVec:
     """Per-row bit vector: bit i set iff column i holds a nonzero entry."""
-    return BitVec.from_bits(
-        1 if e is not None else 0 for e in cod.row(row)
-    )
+    mask = sum(1 << i for i, e in enumerate(cod.row(row)) if e is not None)
+    return BitVec(cod.n, mask)
 
 
 def row_id(cod: CodMatrix, row: int) -> BitVec:
@@ -115,19 +122,27 @@ def row_id(cod: CodMatrix, row: int) -> BitVec:
 
 # -- symbolic verification -------------------------------------------------
 
-# A symbol is (var, conj); a monomial is an unordered pair of symbols with
-# an integer coefficient.  Commutativity makes cancellation a multiset test.
-
-Symbol = tuple[BitVec, bool]
-Monomial = tuple[Symbol, Symbol]
+# A symbol is (var mask, var length, conj); a monomial is a sorted pair of
+# symbols with an integer coefficient.  Commutativity makes cancellation a
+# multiset test.
 
 
-def _sym_key(s: Symbol):
-    return (s[0].order_key(), s[1])
+def gram_entry(
+    cells: Sequence[Sequence[Cell]], a: int, b: int, rows: Sequence[int]
+) -> dict:
+    """Nonzero monomials of the formal (a, b) entry of O^H O.
 
-
-def _monomial(a: Symbol, b: Symbol) -> Monomial:
-    return (a, b) if _sym_key(a) <= _sym_key(b) else (b, a)
+    `cells` is the raw row grid, `a` and `b` are 0-based columns and `rows`
+    lists the 0-based rows where both columns are nonzero.
+    """
+    acc: dict = {}
+    for r in rows:
+        ea, eb = cells[r][a], cells[r][b]
+        sa = (ea.var.mask, ea.var.length, not ea.conj)
+        sb = (eb.var.mask, eb.var.length, eb.conj)
+        mono = (sa, sb) if sa <= sb else (sb, sa)
+        acc[mono] = acc.get(mono, 0) + ea.sign * eb.sign
+    return {mono: c for mono, c in acc.items() if c}
 
 
 @dataclass
@@ -136,40 +151,35 @@ class VerificationReport:
     failures: list[tuple[tuple[int, ...], dict]] = field(default_factory=list)
 
 
-def _gram_cell(cod: CodMatrix, a: int, b: int) -> Counter:
-    """Formal (a,b) entry of O^H O as a monomial -> coefficient counter."""
-    acc: Counter = Counter()
-    for r in range(1, cod.p + 1):
-        ea = cod.entry(r, a)
-        eb = cod.entry(r, b)
-        if ea is None or eb is None:
-            continue
-        mono = _monomial((ea.var, not ea.conj), (eb.var, eb.conj))
-        acc[mono] += ea.sign * eb.sign
-    return Counter({mono: c for mono, c in acc.items() if c})
-
-
 def verify_symbolic(cod: CodMatrix) -> VerificationReport:
     """Exact orthogonality check: O^H O = (sum |z_j|^2) I, formally.
 
     Off-diagonal Gram entries must cancel to zero; every diagonal entry
     must be exactly the sum of z_j* z_j over all k variables, once each.
+    Failure positions are 1-based columns.
     """
-    expected_diag = Counter(
-        {_monomial((v, True), (v, False)): 1 for v in cod.variables()}
-    )
+    expected_diag = {
+        ((v.mask, v.length, False), (v.mask, v.length, True)): 1
+        for v in cod.variables()
+    }
+    support = [
+        [r for r, row in enumerate(cod.cells) if row[c] is not None]
+        for c in range(cod.n)
+    ]
     failures = []
-    for a in range(1, cod.n + 1):
-        for b in range(a, cod.n + 1):
-            acc = _gram_cell(cod, a, b)
+    for a in range(cod.n):
+        in_a = set(support[a])
+        for b in range(a, cod.n):
+            shared = [r for r in support[b] if r in in_a]
+            acc = gram_entry(cod.cells, a, b, shared)
             if a == b:
-                residual = acc.copy()
+                residual = Counter(acc)
                 residual.subtract(expected_diag)
                 residual = {k: v for k, v in residual.items() if v}
                 if residual:
-                    failures.append(((a,), residual))
+                    failures.append(((a + 1,), residual))
             elif acc:
-                failures.append(((a, b), dict(acc)))
+                failures.append(((a + 1, b + 1), acc))
     return VerificationReport(ok=not failures, failures=failures)
 
 

@@ -15,9 +15,8 @@ uniqueness and nonexistence claims at desk scale.
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field
-from itertools import product
+from dataclasses import dataclass
+from itertools import combinations, product
 from math import comb
 from typing import Optional
 
@@ -25,15 +24,9 @@ from .bitvec import BitVec
 from .equivalence import canonicalize
 from .errors import BudgetExceededError, ParameterError
 from .generator import construct_g
-from .model import CodMatrix, Entry, verify_symbolic
+from .model import CodMatrix, Entry, gram_entry, verify_symbolic
 
 DEFAULT_BUDGET = 1 << 26
-_BUDGET_ENV = "CODLIB_ORACLE_BUDGET"
-
-
-def _budget_default() -> int:
-    raw = os.environ.get(_BUDGET_ENV)
-    return int(raw) if raw else DEFAULT_BUDGET
 
 
 @dataclass
@@ -42,7 +35,7 @@ class SearchSpec:
     n: int
     k: int
     mode: str = "family"  # "family" or "free"
-    budget: int = field(default_factory=_budget_default)
+    budget: int = DEFAULT_BUDGET
 
 
 @dataclass
@@ -63,57 +56,39 @@ def _family_support(spec: SearchSpec) -> CodMatrix:
     return construct_g(m)
 
 
-def _pair_check(cod: CodMatrix, pairs) -> bool:
-    """Off-diagonal cancellation only; diagonals are automatic when every
-    column holds each variable at most once (true on the forced support)."""
-    for shared_rows, a, b in pairs:
-        acc: dict = {}
-        for r in shared_rows:
-            ea = cod.entry(r, a)
-            eb = cod.entry(r, b)
-            key_a = (ea.var.mask, not ea.conj)
-            key_b = (eb.var.mask, eb.conj)
-            mono = (key_a, key_b) if key_a <= key_b else (key_b, key_a)
-            acc[mono] = acc.get(mono, 0) + ea.sign * eb.sign
-        if any(acc.values()):
-            return False
-    return True
-
-
 def _enumerate_family(spec: SearchSpec) -> list[EquivalenceClass]:
     support = _family_support(spec)
     cells = [
         (r, c)
-        for r in range(1, support.p + 1)
-        for c in range(1, support.n + 1)
-        if support.entry(r, c) is not None
+        for r, row in enumerate(support.cells)
+        for c, e in enumerate(row)
+        if e is not None
     ]
     estimate = 4 ** len(cells)
     if estimate > spec.budget:
         raise BudgetExceededError(estimate, spec.budget)
-    pairs = []
-    for a in range(1, support.n + 1):
-        for b in range(a + 1, support.n + 1):
-            shared = [
-                r
-                for r in range(1, support.p + 1)
-                if support.entry(r, a) is not None
-                and support.entry(r, b) is not None
-            ]
-            pairs.append((shared, a, b))
+    # Only off-diagonal cancellation is checked: diagonals are automatic
+    # because every column of the forced support holds each variable once.
+    pairs = [
+        (a, b, [r for r, row in enumerate(support.cells)
+                if row[a] is not None and row[b] is not None])
+        for a, b in combinations(range(support.n), 2)
+    ]
+    # the four sign/conjugation variants of each support cell
+    variants = [
+        [Entry(e.var, sign, conj) for conj in (False, True) for sign in (1, -1)]
+        for e in (support.cells[r][c] for r, c in cells)
+    ]
 
     classes: dict[CodMatrix, EquivalenceClass] = {}
     base_rows = [list(row) for row in support.cells]
-    for choice in product(range(4), repeat=len(cells)):
+    for choice in product(*variants):
         rows = [row[:] for row in base_rows]
-        for (r, c), bits in zip(cells, choice):
-            e = support.entry(r, c)
-            rows[r - 1][c - 1] = Entry(
-                e.var, -1 if bits & 1 else 1, bool(bits & 2)
-            )
-        cand = CodMatrix.from_rows(support.m, rows)
-        if not _pair_check(cand, pairs):
+        for (r, c), entry in zip(cells, choice):
+            rows[r][c] = entry
+        if any(gram_entry(rows, a, b, shared) for a, b, shared in pairs):
             continue
+        cand = CodMatrix.from_rows(support.m, rows)
         canon = canonicalize(cand)
         if canon in classes:
             classes[canon].count += 1

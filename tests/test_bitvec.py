@@ -31,18 +31,6 @@ def test_partial_weight_range_errors():
         v.partial_weight(2, 4)
 
 
-def test_order_key_examples():
-    assert BitVec.from_bits([1, 1, 0, 0]).order_key() == 6
-    assert BitVec.from_bits([0, 0, 0, 0]).order_key() == 0
-    assert BitVec.from_bits([0, 1, 1, 0]).order_key() == 12
-
-
-def test_order_key_injective_small_lengths():
-    for n in range(1, 13):
-        keys = {BitVec(n, m).order_key() for m in range(1 << n)}
-        assert len(keys) == 1 << n
-
-
 def test_xor_properties():
     rng = random.Random(1)
     for _ in range(100):

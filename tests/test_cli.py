@@ -2,8 +2,9 @@ import json
 
 import pytest
 
+from codlib import construct_g, extend_g
 from codlib.cli import main
-from codlib.fileio import design_from_json, design_to_json
+from codlib.fileio import certificate_to_json, design_from_json, design_to_json
 from conftest import make_eq3
 
 
@@ -37,9 +38,57 @@ def test_malformed_file_is_exit_3(tmp_path):
     assert run("verify", str(path)) == 3
 
 
+G2 = json.loads(design_to_json(construct_g(2)))
+G5 = json.loads(design_to_json(construct_g(3)))
+CERT = json.loads(certificate_to_json(3, extend_g(3).certificate))
+
+
+def _edited(doc, **fields):
+    return json.dumps({**doc, **fields})
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        (["verify"], _edited(G2, p="4")),
+        (["verify"], _edited(G2, entries=[5] + G2["entries"][1:])),
+        (["verify"], _edited(G2, entries=[{**G2["entries"][0], "var": 5}])),
+        (["verify", "--certificate"], _edited(CERT, m="3")),
+        (["verify", "--certificate"], _edited(CERT, version=2)),
+        (["verify", "--certificate"], "[]"),
+        (["verify", "--certificate"], None),
+        (["analyze"], _edited(G5, m=2)),
+        (["canonicalize"], _edited(G5, m=2)),
+        (["verify"], _edited(G5, m=2)),
+        (["export"], _edited(G5, m=2)),
+    ],
+    ids=[
+        "p-string",
+        "entry-not-object",
+        "var-not-string",
+        "cert-m-string",
+        "cert-version",
+        "cert-top-level-list",
+        "cert-missing-file",
+        "m-mismatch-analyze",
+        "m-mismatch-canonicalize",
+        "m-mismatch-verify",
+        "m-mismatch-export",
+    ],
+)
+def test_malformed_input_is_exit_3(tmp_path, capsys, command, text):
+    path = tmp_path / "in.json"
+    if text is not None:
+        path.write_text(text)
+    assert run(command[0], str(path), *command[1:]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_usage_error_is_exit_2():
     assert run("generate") == 2
     assert run("generate", "-m", "42") == 2
+    assert run("bounds", "-n", "0") == 2
 
 
 def test_canonicalize_and_equivalent(tmp_path, g2_file):

@@ -53,6 +53,21 @@ def test_design_rejects_wrong_variable_count():
         design_from_json(text)
 
 
+@pytest.mark.parametrize(
+    "load, text",
+    [
+        (design_from_json, design_to_json(construct_g(2))),
+        (certificate_from_json, certificate_to_json(3, extend_g(3).certificate)),
+    ],
+    ids=["design", "certificate"],
+)
+def test_loaders_check_header(load, text):
+    load(text)
+    for bad in ("[]", text.replace('"version": 1', '"version": 2')):
+        with pytest.raises(MalformedFileError):
+            load(bad)
+
+
 def test_certificate_round_trip():
     res = extend_g(3)
     text = certificate_to_json(3, res.certificate)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from codlib import (
@@ -7,6 +9,7 @@ from codlib import (
     MixedConjugationError,
     construct_g,
     row_id,
+    scramble,
     verify_numeric,
     verify_symbolic,
     zero_pattern,
@@ -58,8 +61,36 @@ def test_verify_symbolic_sign_flip_localized(eq3):
     assert [where for where, _ in report.failures] == [(1, 2)]
 
 
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_verify_symbolic_negated_cell_fails_exactly_its_pairs(m):
+    g = construct_g(m)
+    nonzero = [
+        (r, c)
+        for r in range(1, g.p + 1)
+        for c in range(1, g.n + 1)
+        if g.entry(r, c) is not None
+    ]
+    for r, c in random.Random(m).sample(nonzero, 6):
+        rows = [list(row) for row in g.cells]
+        rows[r - 1][c - 1] = rows[r - 1][c - 1].negated()
+        report = verify_symbolic(CodMatrix.from_rows(m, rows))
+        expected = {
+            tuple(sorted((c, b)))
+            for b in range(1, g.n + 1)
+            if b != c and g.entry(r, b) is not None
+        }
+        got = [where for where, _ in report.failures]
+        assert got == sorted(expected)
+
+
 def test_verify_symbolic_trivial_design():
     cod = CodMatrix.from_rows(1, [[Entry(BitVec.unit(2, 1))]])
+    assert verify_symbolic(cod).ok
+
+
+def test_verify_symbolic_keeps_equal_masks_of_different_lengths_apart():
+    cod = CodMatrix.from_rows(1, [[Entry(BitVec(2, 1))], [Entry(BitVec(3, 1))]])
+    assert cod.k == 2
     assert verify_symbolic(cod).ok
 
 
@@ -119,3 +150,18 @@ def test_variable_occurrence_counts():
             assert len(inst) == 2 * m - 1
             cols = [c for _, c, _ in inst]
             assert sorted(cols) == list(range(1, 2 * m))
+
+
+def test_instances_match_brute_force_scan():
+    s, _ = scramble(construct_g(3), seed=3, count=40)
+    for var in s.variables():
+        scan = [
+            (r, c, s.entry(r, c))
+            for r in range(1, s.p + 1)
+            for c in range(1, s.n + 1)
+            if s.entry(r, c) is not None and s.entry(r, c).var == var
+        ]
+        assert s.instances(var) == scan
+    used = {v.mask for v in s.variables()}
+    unused = next(mask for mask in range(1 << 6) if mask not in used)
+    assert s.instances(BitVec(6, unused)) == []

@@ -11,8 +11,13 @@ from codlib.errors import ParameterError
 from conftest import make_eq3
 
 
-def test_family_enumeration_433_single_class():
-    classes = enumerate_cods(SearchSpec(p=4, n=3, k=3, mode="family"))
+@pytest.fixture(scope="module")
+def classes_433():
+    return enumerate_cods(SearchSpec(p=4, n=3, k=3, mode="family"))
+
+
+def test_family_enumeration_433_single_class(classes_433):
+    classes = classes_433
     assert len(classes) == 1
     cls = classes[0]
     assert cls.canonical == canonicalize(construct_g(2))
@@ -46,7 +51,6 @@ def test_free_mode_size_guard():
         enumerate_cods(SearchSpec(p=4, n=5, k=3, mode="free"))
 
 
-def test_generated_design_is_in_its_enumerated_class():
+def test_generated_design_is_in_its_enumerated_class(classes_433):
     g = construct_g(2)
-    classes = enumerate_cods(SearchSpec(p=4, n=3, k=3, mode="family"))
-    assert classes[0].canonical == canonicalize(g)
+    assert classes_433[0].canonical == canonicalize(g)
