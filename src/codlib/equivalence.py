@@ -1,7 +1,10 @@
 """Equivalence operations and the canonical form.
 
 Canonicalization normalizes a design of the maximal-rate minimal-delay
-family [C(2m,m-1), 2m-1, C(2m-1,m-1)] to a unique representative:
+family [C(2m,m-1), 2m-1, C(2m-1,m-1)] to a unique representative.
+`canonicalize` does the four steps below in one function: one pass over the
+rows computes every row id, one read of each variable's instances gives both
+its separation flip and its forced id, and only the output design is built.
 
 1. restore conjugation separation (flip whole variables so that rows with
    m nonzero entries are conjugated, rows with m+1 are not);
@@ -23,11 +26,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from math import comb
-from typing import Optional, Union
+from typing import Union
 
 from .bitvec import BitVec
 from .errors import InvalidDesignError, ParameterError
-from .model import CodMatrix, Entry, row_id, verify_symbolic
+from .model import CodMatrix, Entry, verify_symbolic
 
 
 @dataclass(frozen=True)
@@ -129,7 +132,7 @@ def scramble(
     """Apply `count` pseudorandom equivalence operations, uniform over the
     seven variants; returns the result and the op log."""
     if count < 1:
-        raise ValueError("count must be >= 1")
+        raise ParameterError(f"count must be >= 1, got {count}")
     rng = random.Random(seed)
     ops: list[EquivOp] = []
     out = cod
@@ -164,135 +167,94 @@ def scramble(
 # -- canonical form --------------------------------------------------------
 
 
-def _family_m(cod: CodMatrix) -> int:
-    """m such that cod has the [C(2m,m-1), 2m-1, C(2m-1,m-1)] parameters."""
-    if cod.n % 2 == 0:
-        raise ParameterError(f"n must be odd (2m-1), got {cod.n}")
-    m = (cod.n + 1) // 2
-    if cod.p != comb(2 * m, m - 1) or cod.k != comb(2 * m - 1, m - 1):
+def _family_m(p: int, n: int, k: int) -> int:
+    """m such that [p, n, k] = [C(2m,m-1), 2m-1, C(2m-1,m-1)]."""
+    if n % 2 == 0:
+        raise ParameterError(f"n must be odd (2m-1), got {n}")
+    m = (n + 1) // 2
+    if p != comb(2 * m, m - 1) or k != comb(2 * m - 1, m - 1):
         raise ParameterError(
-            f"[{cod.p},{cod.n},{cod.k}] is not "
+            f"[{p},{n},{k}] is not "
             f"[{comb(2 * m, m - 1)},{2 * m - 1},{comb(2 * m - 1, m - 1)}]"
         )
     return m
 
 
-def _restore_separation(cod: CodMatrix, m: int) -> CodMatrix:
-    """Flip whole variables so row conjugation matches row weight."""
-    weights = [sum(1 for e in row if e is not None) for row in cod.cells]
-    if any(w not in (m, m + 1) for w in weights):
-        raise InvalidDesignError("row nonzero counts are not m or m+1")
-    flip: set[BitVec] = set()
-    for var in cod.variables():
-        # desired: conjugated exactly in rows with m nonzero entries
-        wanted = [(weights[r - 1] == m) == e.conj for r, _, e in cod.instances(var)]
-        if all(wanted):
-            continue
-        if any(wanted):
-            raise InvalidDesignError(
-                f"variable {var} cannot be conjugation separated"
-            )
-        flip.add(var)
-    rows = [
-        [e.conjugated() if e is not None and e.var in flip else e for e in row]
-        for row in cod.cells
-    ]
-    return CodMatrix.from_rows(cod.m, rows)
-
-
-def _canonical_rename(cod: CodMatrix, m: int) -> CodMatrix:
-    """Rename each variable to the id its instance positions force."""
-    two_m = 2 * m
-    e = BitVec.ones(two_m)
-    ids = [row_id(cod, r) for r in range(1, cod.p + 1)]
-    if len({v.mask for v in ids}) != cod.p or any(
-        v.weight() != m + 1 for v in ids
-    ):
-        raise InvalidDesignError("row identifiers are not distinct weight-(m+1)")
-    mapping: dict[BitVec, BitVec] = {}
-    for var in cod.variables():
-        forced = set()
-        for r, c, entry in cod.instances(var):
-            target = ids[r - 1] ^ BitVec.unit(two_m, c)
-            if entry.conj:
-                target = target ^ e
-            forced.add(target)
-        if len(forced) != 1:
-            raise InvalidDesignError(
-                f"instances of {var} disagree on the forced id"
-            )
-        mapping[var] = forced.pop()
-    if len(set(mapping.values())) != len(mapping):
-        raise InvalidDesignError("forced renaming is not a bijection")
-    rows = [
-        [
-            Entry(mapping[e_.var], e_.sign, e_.conj) if e_ is not None else None
-            for e_ in row
-        ]
-        for row in cod.cells
-    ]
-    return CodMatrix.from_rows(m, rows)
-
-
-def _lexmin_signs(cod: CodMatrix) -> CodMatrix:
-    """Canonical signs: lex-min coset element under row/variable negations.
-
-    Rows are taken in row-id order and cells left to right; the negation
-    moves span a GF(2) subspace over the nonzero cells, and the greedy
-    pivot reduction yields the unique lexicographically minimal shift.
-    """
-    order = sorted(range(1, cod.p + 1), key=lambda r: row_id(cod, r).mask)
-    cell_index: dict[tuple[int, int], int] = {}
-    for r in order:
-        for c in range(1, cod.n + 1):
-            if cod.entry(r, c) is not None:
-                cell_index[(r, c)] = len(cell_index)
-
-    sign_vec = 0
-    row_gen: dict[int, int] = {r: 0 for r in order}
-    var_gen: dict[BitVec, int] = {v: 0 for v in cod.variables()}
-    for (r, c), idx in cell_index.items():
-        entry = cod.entry(r, c)
-        if entry.sign < 0:
-            sign_vec |= 1 << idx
-        row_gen[r] |= 1 << idx
-        var_gen[entry.var] |= 1 << idx
-
-    pivots: dict[int, int] = {}
-    for gen in list(row_gen.values()) + list(var_gen.values()):
-        while gen:
-            low = (gen & -gen).bit_length() - 1
-            if low in pivots:
-                gen ^= pivots[low]
-            else:
-                pivots[low] = gen
-                break
-    for low in sorted(pivots):
-        if (sign_vec >> low) & 1:
-            sign_vec ^= pivots[low]
-
-    rows = []
-    for r in order:
-        row = []
-        for c in range(1, cod.n + 1):
-            entry = cod.entry(r, c)
-            if entry is None:
-                row.append(None)
-            else:
-                neg = (sign_vec >> cell_index[(r, c)]) & 1
-                row.append(Entry(entry.var, -1 if neg else 1, entry.conj))
-        rows.append(row)
-    return CodMatrix.from_rows(cod.m, rows)
-
-
 def canonicalize(cod: CodMatrix) -> CodMatrix:
     """Unique standard form of a maximal-rate minimal-delay design."""
-    m = _family_m(cod)
+    m = _family_m(cod.p, cod.n, cod.k)
     if not verify_symbolic(cod).ok:
         raise InvalidDesignError("input fails symbolic orthogonality")
-    cod = _restore_separation(cod, m)
-    cod = _canonical_rename(cod, m)
-    return _lexmin_signs(cod)
+    e = (1 << (2 * m)) - 1
+
+    # Rows: separation conjugates exactly the rows with m nonzero cells, so
+    # the row id is the zero pattern plus that flag as bit 2m.
+    conj: list[bool] = []
+    ids: list[int] = []
+    for row in cod.cells:
+        pattern = sum(1 << c for c, x in enumerate(row) if x is not None)
+        weight = pattern.bit_count()
+        if weight not in (m, m + 1):
+            raise InvalidDesignError("row nonzero counts are not m or m+1")
+        conj.append(weight == m)
+        ids.append(pattern | conj[-1] << (2 * m - 1))
+
+    # Variables: a variable separates when all of its instances agree, or all
+    # disagree, with their row's flag (the latter get flipped); an instance in
+    # row r, column c forces the id ids[r] ^ e_c, ^ e if row r is conjugated.
+    forced: dict[BitVec, set[int]] = {}
+    for var in cod.variables():
+        instances = cod.instances(var)
+        if len({conj[r - 1] == x.conj for r, _, x in instances}) > 1:
+            raise InvalidDesignError(f"variable {var} cannot be conjugation separated")
+        forced[var] = {
+            ids[r - 1] ^ (1 << (c - 1)) ^ (e if conj[r - 1] else 0)
+            for r, c, _ in instances
+        }
+    if len(set(ids)) != cod.p:
+        raise InvalidDesignError("row identifiers are not distinct weight-(m+1)")
+    rename: dict[BitVec, BitVec] = {}
+    for var, targets in forced.items():
+        if len(targets) != 1:
+            raise InvalidDesignError(f"instances of {var} disagree on the forced id")
+        rename[var] = BitVec(2 * m, targets.pop())
+    if len(set(rename.values())) != len(rename):
+        raise InvalidDesignError("forced renaming is not a bijection")
+
+    # Signs: one bit per nonzero cell, rows in id order and cells left to
+    # right.  Row and variable negations span a GF(2) subspace; the greedy
+    # pivot reduction yields the coset element that is zero at every pivot,
+    # the lexicographically minimal one.  The pivot positions depend only on
+    # the subspace, so the order the generators are reduced in does not matter.
+    order = sorted(range(cod.p), key=ids.__getitem__)
+    cells = [
+        (r, c, x) for r in order for c, x in enumerate(cod.cells[r]) if x is not None
+    ]
+    signs = 0
+    row_gen = [0] * cod.p
+    var_gen: dict[BitVec, int] = {}
+    for i, (r, _, x) in enumerate(cells):
+        if x.sign < 0:
+            signs |= 1 << i
+        row_gen[r] |= 1 << i
+        var_gen[x.var] = var_gen.get(x.var, 0) | 1 << i
+    pivots: dict[int, int] = {}
+    for gen in row_gen + list(var_gen.values()):
+        while gen:
+            low = (gen & -gen).bit_length() - 1
+            if low not in pivots:
+                pivots[low] = gen
+                break
+            gen ^= pivots[low]
+    for low in sorted(pivots):
+        if (signs >> low) & 1:
+            signs ^= pivots[low]
+
+    rows = {r: [None] * cod.n for r in order}
+    for i, (r, c, x) in enumerate(cells):
+        sign = -1 if (signs >> i) & 1 else 1
+        rows[r][c] = Entry(rename[x.var], sign, conj[r])
+    return CodMatrix.from_rows(m, list(rows.values()))
 
 
 def equivalent(a: CodMatrix, b: CodMatrix) -> bool:

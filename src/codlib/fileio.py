@@ -23,7 +23,7 @@ from .equivalence import (
     RowPerm,
 )
 from .errors import MalformedFileError
-from .generator import Constraint, InconsistencyCertificate
+from .generator import M_MAX, Constraint, InconsistencyCertificate
 from .model import CodMatrix, Entry
 
 DESIGN_FORMAT = "cod-design"
@@ -111,8 +111,9 @@ def _load(text: str, fmt: str) -> dict:
 def design_from_json(text: str) -> CodMatrix:
     doc = _load(text, DESIGN_FORMAT)
     m = _int(doc, "m", "document", 1)
-    p = _int(doc, "p", "document", 1)
-    n = _int(doc, "n", "document", 1)
+    # no design codlib builds is larger than the m = M_MAX extension
+    p = _int(doc, "p", "document", 1, math.comb(2 * M_MAX, M_MAX - 1))
+    n = _int(doc, "n", "document", 1, 2 * M_MAX)
     k = _int(doc, "k", "document", 0)
     if m != (n + 1) // 2:
         raise MalformedFileError(f"m={m} but n={n} needs m={(n + 1) // 2}", "m")

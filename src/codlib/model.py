@@ -9,6 +9,7 @@ substitution as a secondary smoke test.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -46,23 +47,30 @@ Cell = Optional[Entry]
 class CodMatrix:
     """A p x n symbolic design with k distinct variables."""
 
-    m: int
     p: int
     n: int
     k: int
     cells: tuple[tuple[Cell, ...], ...]
 
+    @property
+    def m(self) -> int:
+        """The family index: n = 2m-1, or n = 2m for an extended design."""
+        return (self.n + 1) // 2
+
     @classmethod
     def from_rows(cls, m: int, rows: Sequence[Sequence[Cell]]) -> "CodMatrix":
+        """Build a design; `m` must equal (n+1)//2 for the rows' n columns."""
         p = len(rows)
         if p == 0:
             raise ParameterError("design needs at least one row")
         n = len(rows[0])
         if any(len(r) != n for r in rows):
             raise ParameterError("rows have unequal lengths")
+        if m != (n + 1) // 2:
+            raise ParameterError(f"m={m} but n={n} needs m={(n + 1) // 2}")
         cells = tuple(tuple(r) for r in rows)
         seen = {e.var for row in cells for e in row if e is not None}
-        return cls(m=m, p=p, n=n, k=len(seen), cells=cells)
+        return cls(p=p, n=n, k=len(seen), cells=cells)
 
     def entry(self, row: int, col: int) -> Cell:
         if not (1 <= row <= self.p and 1 <= col <= self.n):
@@ -188,9 +196,9 @@ def verify_numeric(
 ) -> bool:
     """Substitute seeded pseudorandom complex values and check the Gram residual."""
     if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+        raise ParameterError(f"trials must be >= 1, got {trials}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ParameterError(f"tol must be finite and positive, got {tol}")
     rng = np.random.default_rng(seed)
     variables = cod.variables()
     for _ in range(trials):

@@ -17,11 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
-from math import comb
 from typing import Optional
 
 from .bitvec import BitVec
-from .equivalence import canonicalize
+from .equivalence import _family_m, canonicalize
 from .errors import BudgetExceededError, ParameterError
 from .generator import construct_g
 from .model import CodMatrix, Entry, gram_entry, verify_symbolic
@@ -45,19 +44,8 @@ class EquivalenceClass:
     sample: CodMatrix
 
 
-def _family_support(spec: SearchSpec) -> CodMatrix:
-    if spec.n % 2 == 0:
-        raise ParameterError("family support needs odd n = 2m-1")
-    m = (spec.n + 1) // 2
-    if spec.p != comb(2 * m, m - 1) or spec.k != comb(2 * m - 1, m - 1):
-        raise ParameterError(
-            f"[{spec.p},{spec.n},{spec.k}] is not a family parameter set"
-        )
-    return construct_g(m)
-
-
 def _enumerate_family(spec: SearchSpec) -> list[EquivalenceClass]:
-    support = _family_support(spec)
+    support = construct_g(_family_m(spec.p, spec.n, spec.k))
     cells = [
         (r, c)
         for r, row in enumerate(support.cells)

@@ -61,6 +61,7 @@ def _edited(doc, **fields):
         (["canonicalize"], _edited(G5, m=2)),
         (["verify"], _edited(G5, m=2)),
         (["export"], _edited(G5, m=2)),
+        (["verify"], _edited(G2, p=400000, k=0, entries=[])),
     ],
     ids=[
         "p-string",
@@ -74,6 +75,7 @@ def _edited(doc, **fields):
         "m-mismatch-canonicalize",
         "m-mismatch-verify",
         "m-mismatch-export",
+        "p-too-large",
     ],
 )
 def test_malformed_input_is_exit_3(tmp_path, capsys, command, text):
@@ -85,10 +87,14 @@ def test_malformed_input_is_exit_3(tmp_path, capsys, command, text):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
-def test_usage_error_is_exit_2():
+def test_usage_error_is_exit_2(g2_file):
     assert run("generate") == 2
     assert run("generate", "-m", "42") == 2
     assert run("bounds", "-n", "0") == 2
+    assert run("scramble", str(g2_file), "--seed", "1", "--count", "0") == 2
+    assert run("verify", str(g2_file), "--numeric", "--trials", "0") == 2
+    assert run("verify", str(g2_file), "--numeric", "--tol", "0") == 2
+    assert run("verify", str(g2_file), "--numeric", "--tol", "nan") == 2
 
 
 def test_canonicalize_and_equivalent(tmp_path, g2_file):

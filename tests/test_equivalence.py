@@ -120,6 +120,20 @@ def test_canonicalize_scramble_round_trip():
             assert canonicalize(s) == cg
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_canonical_form_has_the_support_of_g(m):
+    # zero cells, variables and conjugation flags are those of G in G's row
+    # order; only the signs are left to the canonical choice
+    g = construct_g(m)
+    for seed in range(3):
+        canon = canonicalize(scramble(g, seed=seed, count=40)[0])
+        for canon_row, g_row in zip(canon.cells, g.cells):
+            for x, y in zip(canon_row, g_row):
+                assert (x is None) == (y is None)
+                if x is not None:
+                    assert (x.var, x.conj) == (y.var, y.conj)
+
+
 def test_canonicalize_rejects_wrong_parameters(eq3):
     bad = CodMatrix.from_rows(2, [list(eq3.row(r)) for r in (1, 2, 3)])
     with pytest.raises(ParameterError):

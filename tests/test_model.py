@@ -14,6 +14,7 @@ from codlib import (
     verify_symbolic,
     zero_pattern,
 )
+from codlib.errors import ParameterError
 
 
 def test_zero_patterns_of_known_design(eq3):
@@ -108,6 +109,20 @@ def test_verify_numeric(eq3):
     rows[1][0] = rows[1][0].negated()
     bad = CodMatrix.from_rows(2, rows)
     assert not verify_numeric(bad, trials=10, seed=0, tol=1e-9)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0])
+def test_verify_numeric_rejects_bad_tolerance(eq3, tol):
+    rows = [list(r) for r in eq3.cells]
+    rows[1][0] = rows[1][0].negated()
+    with pytest.raises(ParameterError):
+        verify_numeric(CodMatrix.from_rows(2, rows), tol=tol)
+
+
+def test_m_is_derived_from_n(eq3):
+    assert eq3.m == 2
+    with pytest.raises(ParameterError):
+        CodMatrix.from_rows(3, [list(r) for r in eq3.cells])
 
 
 def test_verify_numeric_trivial():
