@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success / true / design exists; 1 false / nonexistence
-(certificate written); 2 usage error; 3 invalid or malformed design.
+(certificate written); 2 usage error or unwritable output; 3 invalid or
+malformed design; 4 internal error.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ EXIT_OK = 0
 EXIT_FALSE = 1
 EXIT_USAGE = 2
 EXIT_INVALID = 3
+EXIT_INTERNAL = 4
 
 
 def _read_file(path: str, parse=fileio.design_from_json):
@@ -29,10 +31,14 @@ def _read_file(path: str, parse=fileio.design_from_json):
 
 
 def _emit(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text)
-    else:
+    """Write to the file `out`, or to stdout when no file is given."""
+    if not out:
         sys.stdout.write(text)
+        return
+    try:
+        Path(out).write_text(text)
+    except OSError as exc:
+        raise ParameterError(f"cannot write {out}: {exc.strerror or exc}")
 
 
 def _cmd_generate(args) -> int:
@@ -114,7 +120,7 @@ def _cmd_scramble(args) -> int:
         raise InvalidDesignError("scramble output fails verification")
     _emit(fileio.design_to_json(out), args.output)
     if args.log:
-        Path(args.log).write_text(fileio.ops_to_text(ops))
+        _emit(fileio.ops_to_text(ops), args.log)
     print(f"seed {args.seed}, {len(ops)} ops applied")
     return EXIT_OK
 
@@ -216,15 +222,15 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except (MalformedFileError, InvalidDesignError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except DesignError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -10,8 +10,9 @@ its separation flip and its forced id, and only the output design is built.
    m nonzero entries are conjugated, rows with m+1 are not);
 2. rename every variable to the id forced by its instance positions;
 3. replace the sign pattern by the lexicographically minimal element of
-   its coset under row and variable negations (computed by GF(2)
-   elimination over the nonzero cells);
+   its coset under row and variable negations: the signs become + on the
+   greedy spanning forest of the row-variable graph (one edge per nonzero
+   cell, joined in reading order), and the other cells follow;
 4. sort rows ascending by row identifier.
 
 After step 2 the cell structure is fully determined by the row ids, so the
@@ -30,6 +31,7 @@ from typing import Union
 
 from .bitvec import BitVec
 from .errors import InvalidDesignError, ParameterError
+from .generator import ParityForest
 from .model import CodMatrix, Entry, verify_symbolic
 
 
@@ -133,6 +135,8 @@ def scramble(
     seven variants; returns the result and the op log."""
     if count < 1:
         raise ParameterError(f"count must be >= 1, got {count}")
+    if cod.k == 0:
+        raise ParameterError("cannot scramble a design without variables")
     rng = random.Random(seed)
     ops: list[EquivOp] = []
     out = cod
@@ -221,40 +225,30 @@ def canonicalize(cod: CodMatrix) -> CodMatrix:
     if len(set(rename.values())) != len(rename):
         raise InvalidDesignError("forced renaming is not a bijection")
 
-    # Signs: one bit per nonzero cell, rows in id order and cells left to
-    # right.  Row and variable negations span a GF(2) subspace; the greedy
-    # pivot reduction yields the coset element that is zero at every pivot,
-    # the lexicographically minimal one.  The pivot positions depend only on
-    # the subspace, so the order the generators are reduced in does not matter.
+    # Signs: rows are forest nodes 0..p-1 and variables p..p+k-1, one edge
+    # per nonzero cell.  Row and variable negations span the cut space of this
+    # graph.  Joining the cells in reading order (rows by id, cells left to
+    # right) builds the greedy spanning forest: a cell is a forest edge exactly
+    # when some combination of negations changes it and no earlier cell.  So
+    # the coset element that is + on every forest edge is the least one.
+    node = {var: cod.p + i for i, var in enumerate(forced)}
+    forest = ParityForest(cod.p + len(node))
     order = sorted(range(cod.p), key=ids.__getitem__)
-    cells = [
-        (r, c, x) for r in order for c, x in enumerate(cod.cells[r]) if x is not None
-    ]
-    signs = 0
-    row_gen = [0] * cod.p
-    var_gen: dict[BitVec, int] = {}
-    for i, (r, _, x) in enumerate(cells):
-        if x.sign < 0:
-            signs |= 1 << i
-        row_gen[r] |= 1 << i
-        var_gen[x.var] = var_gen.get(x.var, 0) | 1 << i
-    pivots: dict[int, int] = {}
-    for gen in row_gen + list(var_gen.values()):
-        while gen:
-            low = (gen & -gen).bit_length() - 1
-            if low not in pivots:
-                pivots[low] = gen
-                break
-            gen ^= pivots[low]
-    for low in sorted(pivots):
-        if (signs >> low) & 1:
-            signs ^= pivots[low]
-
-    rows = {r: [None] * cod.n for r in order}
-    for i, (r, c, x) in enumerate(cells):
-        sign = -1 if (signs >> i) & 1 else 1
-        rows[r][c] = Entry(rename[x.var], sign, conj[r])
-    return CodMatrix.from_rows(m, list(rows.values()))
+    for r in order:
+        for x in cod.cells[r]:
+            if x is not None:
+                forest.join(r, node[x.var], x.sign < 0)
+    flip = {var: forest.find(i)[1] for var, i in node.items()}
+    rows = []
+    for r in order:
+        row: list = [None] * cod.n
+        row_flip = forest.find(r)[1]
+        for c, x in enumerate(cod.cells[r]):
+            if x is not None:
+                sign = -x.sign if row_flip ^ flip[x.var] else x.sign
+                row[c] = Entry(rename[x.var], sign, conj[r])
+        rows.append(row)
+    return CodMatrix.from_rows(m, rows)
 
 
 def equivalent(a: CodMatrix, b: CodMatrix) -> bool:

@@ -158,7 +158,7 @@ def certificate_to_json(m: int, cert: InconsistencyCertificate) -> str:
 
 def certificate_from_json(text: str) -> tuple[int, list[Constraint]]:
     doc = _load(text, CERT_FORMAT)
-    m = _int(doc, "m", "document", 1)
+    m = _int(doc, "m", "document", 1, M_MAX)
     constraints = []
     for idx, item in enumerate(_list(doc, "constraints")):
         where = f"constraints[{idx}]"

@@ -2,8 +2,9 @@
 
 G_{2m-1} has one row per weight-(m+1) vector in F_2^{2m}; entry signs come
 from the parity function theta.  Appending a 2m-th column reduces to an XOR
-constraint system over unknown sign bits phi, solved by union-find with
-parity.  Inconsistency is witnessed by a closed walk of constraints whose
+constraint system over unknown sign bits phi, solved by `ParityForest`, a
+union-find with parity that `equivalence.canonicalize` also uses for its
+signs.  Inconsistency is witnessed by a closed walk of constraints whose
 parities XOR to 1, which happens exactly when m is odd.
 """
 
@@ -99,10 +100,7 @@ class InconsistencyCertificate:
     constraints: list[Constraint]
 
     def parity(self) -> int:
-        acc = 0
-        for _, _, c in self.constraints:
-            acc ^= c
-        return acc
+        return sum(c for _, _, c in self.constraints) % 2
 
 
 ParityOutcome = Union[ParitySolution, InconsistencyCertificate]
@@ -123,95 +121,87 @@ def build_extension_system(g: CodMatrix) -> ParitySystem:
     e_2m = BitVec.unit(two_m, two_m)
     ids = [row_id(g, r) for r in range(1, g.p + 1)]
     unknowns = sorted((a for a in ids if a.bit(two_m) == 1), key=lambda v: v.mask)
-    seen: dict[frozenset, int] = {}
     constraints: list[Constraint] = []
     for alpha in unknowns:
         for i in range(1, two_m):
             if alpha.bit(i) == 0:
                 continue
             beta = alpha ^ BitVec.unit(two_m, i) ^ e_2m ^ e
-            c = i % 2
-            key = frozenset((alpha.mask, beta.mask))
-            if key in seen:
-                # the same edge arises once from each endpoint
-                assert seen[key] == c
-                continue
-            seen[key] = c
-            constraints.append((alpha, beta, c))
+            # beta leads back to alpha through the same i: keep the edge once,
+            # from its smaller end
+            if beta.mask >= alpha.mask:
+                constraints.append((alpha, beta, i % 2))
     return ParitySystem(tuple(unknowns), tuple(constraints))
+
+
+class ParityForest:
+    """Union-find with parity over the nodes 0..size-1, union by size.
+
+    Each node has a potential relative to its root; `join` records
+    x[a] ^ x[b] = c on top of the relations already joined.
+    """
+
+    def __init__(self, size: int):
+        self.parent = list(range(size))
+        self.parity = [0] * size
+        self.size = [1] * size
+
+    def find(self, x: int) -> tuple[int, int]:
+        """(root, potential) of node x."""
+        p = 0
+        while self.parent[x] != x:
+            p ^= self.parity[x]
+            x = self.parent[x]
+        return x, p
+
+    def join(self, a: int, b: int, c: int) -> Optional[int]:
+        """None if the edge joined two trees, else x[a] ^ x[b] ^ c (0: agrees)."""
+        ra, pa = self.find(a)
+        rb, pb = self.find(b)
+        if ra == rb:
+            return pa ^ pb ^ c
+        if self.size[ra] > self.size[rb]:
+            ra, rb = rb, ra
+        self.parent[ra] = rb
+        self.parity[ra] = pa ^ pb ^ c
+        self.size[rb] += self.size[ra]
+        return None
 
 
 def solve_parity(sys: ParitySystem) -> ParityOutcome:
     """Union-find with parity; returns an assignment or an odd closed walk."""
-    parent: dict[BitVec, BitVec] = {v: v for v in sys.unknowns}
-    par: dict[BitVec, int] = {v: 0 for v in sys.unknowns}
-    size: dict[BitVec, int] = {v: 1 for v in sys.unknowns}
-    adj: dict[BitVec, list[tuple[BitVec, Constraint]]] = {
-        v: [] for v in sys.unknowns
-    }
-
-    def find(x: BitVec) -> tuple[BitVec, int]:
-        p = 0
-        while parent[x] != x:
-            p ^= par[x]
-            x = parent[x]
-        return x, p
-
-    def tree_path(a: BitVec, b: BitVec) -> list[Constraint]:
-        if a == b:
-            return []
-        prev: dict[BitVec, tuple[BitVec, Constraint]] = {}
-        queue = [a]
-        seen = {a}
-        while queue:
-            nxt = []
-            for u in queue:
-                for v, con in adj[u]:
-                    if v in seen:
-                        continue
-                    seen.add(v)
-                    prev[v] = (u, con)
-                    if v == b:
-                        path = []
-                        while v != a:
-                            u2, con2 = prev[v]
-                            path.append(con2)
-                            v = u2
-                        path.reverse()
-                        return path
-                    nxt.append(v)
-            queue = nxt
-        raise AssertionError("endpoints not connected in spanning forest")
-
+    index = {v: i for i, v in enumerate(sys.unknowns)}
+    forest = ParityForest(len(sys.unknowns))
+    adj: dict[BitVec, list] = {v: [] for v in sys.unknowns}  # forest edges
     for con in sys.constraints:
         a, b, c = con
-        ra, pa = find(a)
-        rb, pb = find(b)
-        if ra == rb:
-            if pa ^ pb != c:
-                return InconsistencyCertificate(tree_path(a, b) + [con])
-            continue
-        if size[ra] > size[rb]:
-            ra, rb = rb, ra
-            pa, pb = pb, pa
-        parent[ra] = rb
-        par[ra] = pa ^ pb ^ c
-        size[rb] += size[ra]
-        adj[a].append((b, con))
-        adj[b].append((a, con))
+        clash = forest.join(index[a], index[b], c)
+        if clash is None:
+            adj[a].append((b, con))
+            adj[b].append((a, con))
+        elif clash:
+            # the forest path from a to b is unique; walk it from a
+            via: dict[BitVec, tuple[BitVec, Constraint]] = {a: (a, con)}
+            stack = [a]
+            while b not in via:
+                u = stack.pop()
+                for v, edge in adj[u]:
+                    if v not in via:
+                        via[v] = (u, edge)
+                        stack.append(v)
+            path = [con]
+            while b != a:
+                b, edge = via[b]
+                path.append(edge)
+            return InconsistencyCertificate(path[::-1])
 
-    roots: dict[BitVec, list[BitVec]] = {}
-    for v in sys.unknowns:
-        roots.setdefault(find(v)[0], []).append(v)
+    # pin the smallest member of each component to 0
+    pins: dict[int, int] = {}
     assignment: dict[BitVec, int] = {}
-    for members in roots.values():
-        # pin the smallest member of each component to 0
-        base = min(members, key=lambda v: v.mask)
-        _, pb = find(base)
-        for v in members:
-            _, pv = find(v)
-            assignment[v] = pv ^ pb
-    return ParitySolution(assignment=assignment, components=len(roots))
+    for v in sorted(sys.unknowns, key=lambda v: v.mask):
+        root, pv = forest.find(index[v])
+        assignment[v] = pv ^ pins.setdefault(root, pv)
+    return ParitySolution(assignment=assignment, components=len(pins))
 
 
 def check_certificate(m: int, constraints: list[Constraint]) -> bool:
@@ -238,10 +228,7 @@ def check_certificate(m: int, constraints: list[Constraint]) -> bool:
         i = diff.support()[0]
         if i > two_m - 1 or a.bit(i) != 1 or c != i % 2:
             return False
-    total = 0
-    for _, _, c in constraints:
-        total ^= c
-    if total != 1:
+    if sum(c for _, _, c in constraints) % 2 != 1:
         return False
 
     def closes_from(start: BitVec) -> bool:

@@ -1,4 +1,4 @@
-"""Brute-force enumeration of small CODs, independent of the generator.
+"""Brute-force enumeration of small CODs.
 
 Two modes:
 
@@ -6,6 +6,8 @@ Two modes:
   [C(2m,m-1), 2m-1, C(2m-1,m-1)] family are forced (up to signs and
   conjugations) by the pairwise pattern relations, so only the per-cell
   sign and conjugation bits are searched: 4^(#nonzero cells) candidates.
+  The support itself is taken from `construct_g`, so this mode is not
+  independent of the generator it cross-checks (ROADMAP item 4).
 * free: every cell ranges over zero and all signed, optionally conjugated
   variables.  Only sensible for very small p*n; guarded by the budget.
 

@@ -62,6 +62,7 @@ def _edited(doc, **fields):
         (["verify"], _edited(G5, m=2)),
         (["export"], _edited(G5, m=2)),
         (["verify"], _edited(G2, p=400000, k=0, entries=[])),
+        (["verify", "--certificate"], _edited(CERT, m=100000000)),
     ],
     ids=[
         "p-string",
@@ -76,6 +77,7 @@ def _edited(doc, **fields):
         "m-mismatch-verify",
         "m-mismatch-export",
         "p-too-large",
+        "cert-m-too-large",
     ],
 )
 def test_malformed_input_is_exit_3(tmp_path, capsys, command, text):
@@ -87,7 +89,7 @@ def test_malformed_input_is_exit_3(tmp_path, capsys, command, text):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
-def test_usage_error_is_exit_2(g2_file):
+def test_usage_error_is_exit_2(tmp_path, capsys, g2_file):
     assert run("generate") == 2
     assert run("generate", "-m", "42") == 2
     assert run("bounds", "-n", "0") == 2
@@ -95,6 +97,27 @@ def test_usage_error_is_exit_2(g2_file):
     assert run("verify", str(g2_file), "--numeric", "--trials", "0") == 2
     assert run("verify", str(g2_file), "--numeric", "--tol", "0") == 2
     assert run("verify", str(g2_file), "--numeric", "--tol", "nan") == 2
+    no_dir = tmp_path / "missing" / "out"
+    assert run("generate", "-m", "2", "-o", str(no_dir)) == 2
+    out = str(tmp_path / "s.json")
+    assert run("scramble", str(g2_file), "--seed", "1", "--count", "3",
+               "-o", out, "--log", str(no_dir)) == 2
+    assert run("extend", "-m", "3", "--certificate", str(no_dir)) == 2
+    assert f"error: cannot write {no_dir}: " in capsys.readouterr().err
+    empty = tmp_path / "empty.json"
+    empty.write_text(_edited(G2, k=0, entries=[]))
+    assert run("scramble", str(empty), "--seed", "1", "--count", "3") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_unexpected_exception_is_exit_4(monkeypatch, capsys):
+    def boom(n):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("codlib.cli.analysis.bounds", boom)
+    assert run("bounds", "-n", "6") == 4
+    assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"
 
 
 def test_canonicalize_and_equivalent(tmp_path, g2_file):

@@ -134,6 +134,33 @@ def test_canonical_form_has_the_support_of_g(m):
                     assert (x.var, x.conj) == (y.var, y.conj)
 
 
+def _brute_force_min_signs(cod):
+    """Least sign pattern (True for -) in reading order over the coset of
+    row and variable negations.  Rows are contiguous in that order, so after
+    each of the 2^k variable negations the best row negations are those
+    that make every row start with +."""
+    variables = cod.variables()
+    best = None
+    for subset in range(1 << len(variables)):
+        neg = {v for i, v in enumerate(variables) if subset >> i & 1}
+        pattern = []
+        for row in cod.cells:
+            signs = [-x.sign if x.var in neg else x.sign for x in row if x]
+            pattern += [s != signs[0] for s in signs]
+        if best is None or pattern < best:
+            best = pattern
+    return best
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_canonical_signs_are_lexicographically_minimal(m):
+    g = construct_g(m)
+    for seed in range(3):
+        canon = canonicalize(scramble(g, seed=seed, count=40)[0])
+        signs = [x.sign < 0 for row in canon.cells for x in row if x]
+        assert signs == _brute_force_min_signs(canon)
+
+
 def test_canonicalize_rejects_wrong_parameters(eq3):
     bad = CodMatrix.from_rows(2, [list(eq3.row(r)) for r in (1, 2, 3)])
     with pytest.raises(ParameterError):
