@@ -54,9 +54,9 @@ class BitVec:
     @classmethod
     def from_string(cls, s: str) -> "BitVec":
         """Parse the text form, bit 1 leftmost: "1101" -> (1,1,0,1)."""
-        if not s or any(c not in "01" for c in s):
+        if not s or s.strip("01"):
             raise ValueError(f"not a bit string: {s!r}")
-        return cls.from_bits(int(c) for c in s)
+        return cls(len(s), int(s[::-1], 2))
 
     # -- queries -----------------------------------------------------------
 
@@ -92,7 +92,7 @@ class BitVec:
         return (self.bit(i) for i in range(1, self.length + 1))
 
     def __str__(self) -> str:
-        return "".join(str(b) for b in self)
+        return format(self.mask, f"0{self.length}b")[::-1]
 
     def __repr__(self) -> str:
         return f"BitVec('{self}')"

@@ -8,6 +8,7 @@ malformed design; 4 internal error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -39,6 +40,15 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_text(text)
     except OSError as exc:
         raise ParameterError(f"cannot write {out}: {exc.strerror or exc}")
+
+
+def _check_dir(out: str | None) -> None:
+    """Fail before any write when the file `out` has no writable directory."""
+    parent = Path(out or ".").parent
+    if out and not (parent.is_dir() and os.access(parent, os.W_OK)):
+        raise ParameterError(
+            f"cannot write {out}: {parent} is not a writable directory"
+        )
 
 
 def _cmd_generate(args) -> int:
@@ -92,10 +102,10 @@ def _cmd_equivalent(args) -> int:
 def _cmd_extend(args) -> int:
     result = generator.extend_g(args.m)
     if result.exists:
+        _emit(fileio.design_to_json(result.design), args.output)
         print(
             f"extension exists; sign solutions: 2^{result.solution_count_log2}"
         )
-        _emit(fileio.design_to_json(result.design), args.output)
         return EXIT_OK
     text = fileio.certificate_to_json(args.m, result.certificate)
     _emit(text, args.certificate)
@@ -118,9 +128,12 @@ def _cmd_scramble(args) -> int:
     out, ops = equivalence.scramble(cod, seed=args.seed, count=args.count)
     if not verify_symbolic(out).ok:
         raise InvalidDesignError("scramble output fails verification")
-    _emit(fileio.design_to_json(out), args.output)
+    text, log = fileio.design_to_json(out), fileio.ops_to_text(ops)
+    _check_dir(args.output)
+    _check_dir(args.log)
+    _emit(text, args.output)
     if args.log:
-        _emit(fileio.ops_to_text(ops), args.log)
+        _emit(log, args.log)
     print(f"seed {args.seed}, {len(ops)} ops applied")
     return EXIT_OK
 
@@ -141,13 +154,9 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_export(args) -> int:
     cod = _read_file(args.file)
-    if args.format == "json":
-        text = fileio.design_to_json(cod)
-    elif args.format == "csv":
-        text = fileio.design_to_csv(cod)
-    else:
-        text = fileio.design_to_latex(cod)
-    _emit(text, args.output)
+    render = {"json": fileio.design_to_json, "csv": fileio.design_to_csv,
+              "latex": fileio.design_to_latex}[args.format]
+    _emit(render(cod), args.output)
     return EXIT_OK
 
 

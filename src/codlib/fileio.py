@@ -2,7 +2,9 @@
 
 The interchange format is JSON with a version field and one entry object
 per nonzero cell, sorted by (row, col).  Output is deterministic: no
-timestamps, stable key order.
+timestamps, stable key order.  The design writer emits the bytes of
+json.dumps(doc, indent=1, sort_keys=True) directly, from one template per
+entry; the loader builds each distinct (var, sign, conj) entry once.
 """
 
 from __future__ import annotations
@@ -31,32 +33,29 @@ CERT_FORMAT = "cod-certificate"
 FORMAT_VERSION = 1
 
 
+# One nonzero cell and the document around the cells, exactly as
+# json.dumps(doc, indent=1, sort_keys=True) lays them out.
+_ENTRY = (
+    '  {\n   "col": %d,\n   "conj": %s,\n   "row": %d,\n'
+    '   "sign": "%s",\n   "var": "%s"\n  }'
+)
+_DESIGN = (
+    '{\n "entries": %s,\n "format": "%s",\n "k": %d,\n "m": %d,\n'
+    ' "n": %d,\n "p": %d,\n "version": %d\n}\n'
+)
+
+
 def design_to_json(cod: CodMatrix) -> str:
-    entries = []
-    for r in range(1, cod.p + 1):
-        for c in range(1, cod.n + 1):
-            e = cod.entry(r, c)
-            if e is None:
-                continue
-            entries.append(
-                {
-                    "row": r,
-                    "col": c,
-                    "var": str(e.var),
-                    "sign": "+" if e.sign > 0 else "-",
-                    "conj": e.conj,
-                }
-            )
-    doc = {
-        "format": DESIGN_FORMAT,
-        "version": FORMAT_VERSION,
-        "m": cod.m,
-        "p": cod.p,
-        "n": cod.n,
-        "k": cod.k,
-        "entries": entries,
-    }
-    return json.dumps(doc, indent=1, sort_keys=True) + "\n"
+    entries = ",\n".join(
+        _ENTRY % (c, "true" if e.conj else "false", r, "+" if e.sign > 0 else "-", e.var)
+        for r, row in enumerate(cod.cells, start=1)
+        for c, e in enumerate(row, start=1)
+        if e is not None
+    )
+    entries = f"[\n{entries}\n ]" if entries else "[]"
+    return _DESIGN % (
+        entries, DESIGN_FORMAT, cod.k, cod.m, cod.n, cod.p, FORMAT_VERSION
+    )
 
 
 def _require(doc, key: str, where: str):
@@ -118,6 +117,7 @@ def design_from_json(text: str) -> CodMatrix:
     if m != (n + 1) // 2:
         raise MalformedFileError(f"m={m} but n={n} needs m={(n + 1) // 2}", "m")
     rows: list[list] = [[None] * n for _ in range(p)]
+    built: dict[tuple, Entry] = {}  # (var text, sign, conj) -> its Entry
     for idx, item in enumerate(_list(doc, "entries")):
         where = f"entries[{idx}]"
         r = _int(item, "row", where, 1, p)
@@ -130,8 +130,12 @@ def design_from_json(text: str) -> CodMatrix:
         conj = _require(item, "conj", where)
         if not isinstance(conj, bool):
             raise MalformedFileError(f"conj must be boolean, got {conj!r}", where)
-        var = _bitvec(item, "var", where)
-        rows[r - 1][c - 1] = Entry(var, 1 if sign == "+" else -1, conj)
+        key = (item.get("var"), sign, conj)
+        entry = built.get(key) if isinstance(key[0], str) else None
+        if entry is None:  # cached only once _bitvec has accepted the text
+            var = _bitvec(item, "var", where)
+            entry = built[key] = Entry(var, 1 if sign == "+" else -1, conj)
+        rows[r - 1][c - 1] = entry
     cod = CodMatrix.from_rows(m, rows)
     if cod.k != k:
         raise MalformedFileError(
@@ -228,10 +232,6 @@ def ops_from_text(text: str) -> list[EquivOp]:
 # -- human-readable exports ------------------------------------------------
 
 
-def _var_names(cod: CodMatrix) -> dict[BitVec, str]:
-    return {v: f"z{i}" for i, v in enumerate(cod.variables(), start=1)}
-
-
 def _cell_text(e, names, star: str = "*") -> str:
     if e is None:
         return "0"
@@ -240,22 +240,14 @@ def _cell_text(e, names, star: str = "*") -> str:
 
 
 def design_to_csv(cod: CodMatrix) -> str:
-    names = _var_names(cod)
-    lines = []
-    for r in range(1, cod.p + 1):
-        lines.append(
-            ",".join(_cell_text(cod.entry(r, c), names) for c in range(1, cod.n + 1))
-        )
-    return "\n".join(lines) + "\n"
+    names = {v: f"z{i}" for i, v in enumerate(cod.variables(), start=1)}
+    lines = (",".join(_cell_text(e, names) for e in row) for row in cod.cells)
+    return "".join(line + "\n" for line in lines)
 
 
 def design_to_latex(cod: CodMatrix) -> str:
     names = {v: f"z_{{{i}}}" for i, v in enumerate(cod.variables(), start=1)}
     body = " \\\\\n".join(
-        " & ".join(
-            _cell_text(cod.entry(r, c), names, star="^*")
-            for c in range(1, cod.n + 1)
-        )
-        for r in range(1, cod.p + 1)
+        " & ".join(_cell_text(e, names, star="^*") for e in row) for row in cod.cells
     )
     return "\\begin{pmatrix}\n" + body + "\n\\end{pmatrix}\n"

@@ -15,8 +15,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .bitvec import BitVec
 from .errors import MixedConjugationError, ParameterError
 
@@ -199,21 +197,21 @@ def verify_numeric(
         raise ParameterError(f"trials must be >= 1, got {trials}")
     if not (math.isfinite(tol) and tol > 0):
         raise ParameterError(f"tol must be finite and positive, got {tol}")
+    import numpy as np  # only this check needs numpy; keep it off start-up
+
     rng = np.random.default_rng(seed)
     variables = cod.variables()
+    index = {v: i for i, v in enumerate(variables)}
+    nonzero = [(r, c, index[e.var], e.sign, e.conj) for r, row in enumerate(cod.cells)
+               for c, e in enumerate(row) if e is not None]
+    rows, cols, var, sign, conj = np.array(nonzero, dtype=np.intp).reshape(-1, 5).T
     for _ in range(trials):
         re = rng.uniform(-1.0, 1.0, size=len(variables))
         im = rng.uniform(-1.0, 1.0, size=len(variables))
-        values = {v: complex(a, b) for v, a, b in zip(variables, re, im)}
+        z = re + 1j * im
         mat = np.zeros((cod.p, cod.n), dtype=complex)
-        for r in range(1, cod.p + 1):
-            for c in range(1, cod.n + 1):
-                e = cod.entry(r, c)
-                if e is None:
-                    continue
-                z = values[e.var]
-                mat[r - 1, c - 1] = e.sign * (z.conjugate() if e.conj else z)
-        norm = sum(abs(z) ** 2 for z in values.values())
+        mat[rows, cols] = sign * np.where(conj, z.conj()[var], z[var])
+        norm = sum(abs(v) ** 2 for v in z.tolist())
         residual = mat.conj().T @ mat - norm * np.eye(cod.n)
         if np.abs(residual).max() >= tol:
             return False

@@ -1,7 +1,11 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import codlib
 from codlib import construct_g, extend_g
 from codlib.cli import main
 from codlib.fileio import certificate_to_json, design_from_json, design_to_json
@@ -97,18 +101,32 @@ def test_usage_error_is_exit_2(tmp_path, capsys, g2_file):
     assert run("verify", str(g2_file), "--numeric", "--trials", "0") == 2
     assert run("verify", str(g2_file), "--numeric", "--tol", "0") == 2
     assert run("verify", str(g2_file), "--numeric", "--tol", "nan") == 2
+    capsys.readouterr()
     no_dir = tmp_path / "missing" / "out"
     assert run("generate", "-m", "2", "-o", str(no_dir)) == 2
     out = str(tmp_path / "s.json")
     assert run("scramble", str(g2_file), "--seed", "1", "--count", "3",
                "-o", out, "--log", str(no_dir)) == 2
     assert run("extend", "-m", "3", "--certificate", str(no_dir)) == 2
-    assert f"error: cannot write {no_dir}: " in capsys.readouterr().err
+    assert run("extend", "-m", "2", "-o", str(no_dir)) == 2
+    captured = capsys.readouterr()
+    assert f"error: cannot write {no_dir}: " in captured.err
+    assert captured.out == ""  # a failed write leaves no verdict and no file
+    assert not (tmp_path / "s.json").exists()
     empty = tmp_path / "empty.json"
     empty.write_text(_edited(G2, k=0, entries=[]))
     assert run("scramble", str(empty), "--seed", "1", "--count", "3") == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_cli_start_up_does_not_import_numpy():
+    src = str(Path(codlib.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", "import codlib.cli, sys; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, env={"PYTHONPATH": src}, check=True,
+    )
+    assert proc.stdout == "False\n"
 
 
 def test_unexpected_exception_is_exit_4(monkeypatch, capsys):

@@ -1,6 +1,8 @@
+import json
+
 import pytest
 
-from codlib import construct_g, extend_g, scramble
+from codlib import BitVec, CodMatrix, Entry, construct_g, extend_g, scramble
 from codlib.errors import MalformedFileError
 from codlib.fileio import (
     certificate_from_json,
@@ -97,3 +99,77 @@ def test_csv_and_latex_exports():
     latex = design_to_latex(g)
     assert latex.startswith("\\begin{pmatrix}")
     assert "-z_{3} & -z_{2} & z_{1}" in latex
+
+
+def _reference_json(cod):
+    """The writer's bytes built the plain way: a dict per entry, then json.dumps."""
+    entries = [
+        {
+            "row": r,
+            "col": c,
+            "var": str(e.var),
+            "sign": "+" if e.sign > 0 else "-",
+            "conj": e.conj,
+        }
+        for r in range(1, cod.p + 1)
+        for c in range(1, cod.n + 1)
+        if (e := cod.entry(r, c)) is not None
+    ]
+    doc = {
+        "format": "cod-design",
+        "version": 1,
+        "m": cod.m,
+        "p": cod.p,
+        "n": cod.n,
+        "k": cod.k,
+        "entries": entries,
+    }
+    return json.dumps(doc, indent=1, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize(
+    "cod",
+    [construct_g(m) for m in range(1, 7)]
+    + [extend_g(4).design]
+    + [scramble(construct_g(m), seed=m, count=40)[0] for m in range(2, 6)]
+    + [CodMatrix.from_rows(1, [[None]])],
+    ids=[f"g{m}" for m in range(1, 7)]
+    + ["ext4"]
+    + [f"scrambled{m}" for m in range(2, 6)]
+    + ["no-entries"],
+)
+def test_writer_matches_json_dumps(cod):
+    assert design_to_json(cod) == _reference_json(cod)
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ({"conj": 0}, "conj must be boolean"),  # 0 == False as a dict key
+        ({"sign": "*"}, "sign must be"),
+        ({"col": 2}, "duplicate cell (1,2)"),
+        ({"var": "10x0"}, "not a bit string"),
+        ({"var": ["1100"]}, "var must be a bit string"),
+    ],
+    ids=["conj", "sign", "duplicate", "var-text", "var-type"],
+)
+def test_reused_var_text_is_still_checked_per_entry(bad, message):
+    doc = json.loads(design_to_json(construct_g(2)))
+    first, second, third = doc["entries"][:3]
+    # entries[2] is a copy of the valid entries[0] moved to cell (1,3)
+    again = {**first, "row": third["row"], "col": third["col"], **bad}
+    text = json.dumps({**doc, "entries": [first, second, again]})
+    with pytest.raises(MalformedFileError) as exc:
+        design_from_json(text)
+    assert "entries[2]" in str(exc.value)
+    assert message in str(exc.value)
+
+
+def test_loaded_cells_equal_fresh_entries():
+    s, _ = scramble(construct_g(3), seed=4, count=40)
+    loaded = design_from_json(design_to_json(s))
+    for r, row in enumerate(loaded.cells):
+        for c, e in enumerate(row):
+            if e is not None:
+                fresh = Entry(BitVec.from_string(str(e.var)), e.sign, e.conj)
+                assert e == fresh == s.cells[r][c]

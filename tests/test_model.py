@@ -109,6 +109,10 @@ def test_verify_numeric(eq3):
     rows[1][0] = rows[1][0].negated()
     bad = CodMatrix.from_rows(2, rows)
     assert not verify_numeric(bad, trials=10, seed=0, tol=1e-9)
+    rows = [list(r) for r in eq3.cells]
+    rows[2][2] = rows[2][2].conjugated()
+    assert not verify_numeric(CodMatrix.from_rows(2, rows), trials=10, seed=0)
+    assert verify_numeric(CodMatrix.from_rows(1, [[None]]))  # no nonzero cell
 
 
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0])
