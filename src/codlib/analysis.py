@@ -148,14 +148,7 @@ def _check_pattern_completeness(cod: CodMatrix) -> CheckResult:
     weights m and m+1 for n = 2m-1, weight m+1 for n = 2m."""
     m = cod.m
     patterns = [zero_pattern(cod, r) for r in range(1, cod.p + 1)]
-    if cod.n == 2 * m - 1:
-        admissible = {m, m + 1}
-    elif cod.n == 2 * m:
-        admissible = {m + 1}
-    else:
-        return CheckResult(
-            "zero_pattern_completeness", False, [f"n={cod.n} not 2m-1 or 2m"]
-        )
+    admissible = {m, m + 1} if cod.n == 2 * m - 1 else {m + 1}  # n = 2m
     witnesses = []
     seen = set()
     for r, pat in enumerate(patterns, start=1):

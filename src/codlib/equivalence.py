@@ -12,7 +12,8 @@ its separation flip and its forced id, and only the output design is built.
 3. replace the sign pattern by the lexicographically minimal element of
    its coset under row and variable negations: the signs become + on the
    greedy spanning forest of the row-variable graph (one edge per nonzero
-   cell, joined in reading order), and the other cells follow;
+   cell, joined in reading order into a `ParityForest`, a union-find with
+   parity), and the other cells follow;
 4. sort rows ascending by row identifier.
 
 After step 2 the cell structure is fully determined by the row ids, so the
@@ -27,11 +28,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from math import comb
-from typing import Union
+from typing import Optional, Union
 
 from .bitvec import BitVec
 from .errors import InvalidDesignError, ParameterError
-from .generator import ParityForest
 from .model import CodMatrix, Entry, verify_symbolic
 
 
@@ -154,6 +154,10 @@ def scramble(
             op = NegVar(rng.choice(variables))
         elif kind == 4:
             used = {v.mask for v in variables}
+            if all(mask in used for mask in range(1 << length)):
+                raise ParameterError(
+                    f"cannot rename: every variable id of length {length} is in use"
+                )
             while True:
                 mask = rng.randrange(1 << length)
                 if mask not in used:
@@ -182,6 +186,40 @@ def _family_m(p: int, n: int, k: int) -> int:
             f"[{comb(2 * m, m - 1)},{2 * m - 1},{comb(2 * m - 1, m - 1)}]"
         )
     return m
+
+
+class ParityForest:
+    """Union-find with parity over the nodes 0..size-1, union by size.
+
+    Each node has a potential relative to its root; `join` records
+    x[a] ^ x[b] = c on top of the relations already joined.
+    """
+
+    def __init__(self, size: int):
+        self.parent = list(range(size))
+        self.parity = [0] * size
+        self.size = [1] * size
+
+    def find(self, x: int) -> tuple[int, int]:
+        """(root, potential) of node x."""
+        p = 0
+        while self.parent[x] != x:
+            p ^= self.parity[x]
+            x = self.parent[x]
+        return x, p
+
+    def join(self, a: int, b: int, c: int) -> Optional[int]:
+        """None if the edge joined two trees, else x[a] ^ x[b] ^ c (0: agrees)."""
+        ra, pa = self.find(a)
+        rb, pb = self.find(b)
+        if ra == rb:
+            return pa ^ pb ^ c
+        if self.size[ra] > self.size[rb]:
+            ra, rb = rb, ra
+        self.parent[ra] = rb
+        self.parity[ra] = pa ^ pb ^ c
+        self.size[rb] += self.size[ra]
+        return None
 
 
 def canonicalize(cod: CodMatrix) -> CodMatrix:

@@ -168,10 +168,7 @@ def certificate_from_json(text: str) -> tuple[int, list[Constraint]]:
         where = f"constraints[{idx}]"
         a = _bitvec(item, "a", where)
         b = _bitvec(item, "b", where)
-        c = _require(item, "parity", where)
-        if c not in (0, 1):
-            raise MalformedFileError(f"parity must be 0 or 1, got {c!r}", where)
-        constraints.append((a, b, c))
+        constraints.append((a, b, _int(item, "parity", where, 0, 1)))
     return m, constraints
 
 

@@ -1,23 +1,24 @@
 """Explicit construction of the standard design and the column extension.
 
 G_{2m-1} has one row per weight-(m+1) vector in F_2^{2m}; entry signs come
-from the parity function theta.  Appending a 2m-th column reduces to an XOR
-constraint system over unknown sign bits phi, solved by `ParityForest`, a
-union-find with parity that `equivalence.canonicalize` also uses for its
-signs.  Inconsistency is witnessed by a closed walk of constraints whose
-parities XOR to 1, which happens exactly when m is odd.
+from the parity function theta.  A 2m-th column must hold +-(a ^ e_2m) in
+each conjugated row a, and each Alamouti block of G ties two of those signs
+by one XOR constraint phi(a) ^ phi(b) = i mod 2, where b = a ^ e ^ e_2m ^ e_i
+is the step from a along column i.  `extend_g` answers this system in closed
+form: for even m, phi is a's parity on the even columns; for odd m, a closed
+walk that steps once along every column has odd parity and is returned as
+the certificate that no such column exists.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb
-from typing import Optional, Union
+from typing import Optional
 
 from .bitvec import BitVec
 from .errors import ParameterError
-from .model import CodMatrix, Entry, row_id
+from .model import CodMatrix, Entry
 
 M_MAX = 8  # desk-scale guard; p = C(2m, m-1) grows fast
 
@@ -71,26 +72,10 @@ def construct_g(m: int) -> CodMatrix:
             sign = -1 if theta(alpha, i) else 1
             row.append(Entry(var=var, sign=sign, conj=conj))
         rows.append(row)
-    cod = CodMatrix.from_rows(m, rows)
-    assert cod.p == comb(two_m, m - 1) and cod.k == comb(two_m - 1, m - 1)
-    return cod
+    return CodMatrix.from_rows(m, rows)
 
 
-# -- parity system over the extension-column signs -------------------------
-
-
-@dataclass(frozen=True)
-class ParitySystem:
-    """XOR constraints phi(a) ^ phi(b) = c over unknown bits phi."""
-
-    unknowns: tuple[BitVec, ...]
-    constraints: tuple[Constraint, ...]
-
-
-@dataclass
-class ParitySolution:
-    assignment: dict[BitVec, int]
-    components: int
+# -- the extension column --------------------------------------------------
 
 
 @dataclass
@@ -101,107 +86,6 @@ class InconsistencyCertificate:
 
     def parity(self) -> int:
         return sum(c for _, _, c in self.constraints) % 2
-
-
-ParityOutcome = Union[ParitySolution, InconsistencyCertificate]
-
-
-def build_extension_system(g: CodMatrix) -> ParitySystem:
-    """Constraints forced on the hypothetical 2m-th column of g.
-
-    For each conjugated row a and each column i where a is nonzero, the
-    Alamouti block joining a to row a ^ e_i ^ e_2m ^ e fixes the relative
-    sign: equal for even i, opposite for odd i.
-    """
-    m = g.m
-    two_m = 2 * m
-    if g.n != two_m - 1:
-        raise ParameterError("extension system needs the n = 2m-1 design")
-    e = BitVec.ones(two_m)
-    e_2m = BitVec.unit(two_m, two_m)
-    ids = [row_id(g, r) for r in range(1, g.p + 1)]
-    unknowns = sorted((a for a in ids if a.bit(two_m) == 1), key=lambda v: v.mask)
-    constraints: list[Constraint] = []
-    for alpha in unknowns:
-        for i in range(1, two_m):
-            if alpha.bit(i) == 0:
-                continue
-            beta = alpha ^ BitVec.unit(two_m, i) ^ e_2m ^ e
-            # beta leads back to alpha through the same i: keep the edge once,
-            # from its smaller end
-            if beta.mask >= alpha.mask:
-                constraints.append((alpha, beta, i % 2))
-    return ParitySystem(tuple(unknowns), tuple(constraints))
-
-
-class ParityForest:
-    """Union-find with parity over the nodes 0..size-1, union by size.
-
-    Each node has a potential relative to its root; `join` records
-    x[a] ^ x[b] = c on top of the relations already joined.
-    """
-
-    def __init__(self, size: int):
-        self.parent = list(range(size))
-        self.parity = [0] * size
-        self.size = [1] * size
-
-    def find(self, x: int) -> tuple[int, int]:
-        """(root, potential) of node x."""
-        p = 0
-        while self.parent[x] != x:
-            p ^= self.parity[x]
-            x = self.parent[x]
-        return x, p
-
-    def join(self, a: int, b: int, c: int) -> Optional[int]:
-        """None if the edge joined two trees, else x[a] ^ x[b] ^ c (0: agrees)."""
-        ra, pa = self.find(a)
-        rb, pb = self.find(b)
-        if ra == rb:
-            return pa ^ pb ^ c
-        if self.size[ra] > self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[ra] = rb
-        self.parity[ra] = pa ^ pb ^ c
-        self.size[rb] += self.size[ra]
-        return None
-
-
-def solve_parity(sys: ParitySystem) -> ParityOutcome:
-    """Union-find with parity; returns an assignment or an odd closed walk."""
-    index = {v: i for i, v in enumerate(sys.unknowns)}
-    forest = ParityForest(len(sys.unknowns))
-    adj: dict[BitVec, list] = {v: [] for v in sys.unknowns}  # forest edges
-    for con in sys.constraints:
-        a, b, c = con
-        clash = forest.join(index[a], index[b], c)
-        if clash is None:
-            adj[a].append((b, con))
-            adj[b].append((a, con))
-        elif clash:
-            # the forest path from a to b is unique; walk it from a
-            via: dict[BitVec, tuple[BitVec, Constraint]] = {a: (a, con)}
-            stack = [a]
-            while b not in via:
-                u = stack.pop()
-                for v, edge in adj[u]:
-                    if v not in via:
-                        via[v] = (u, edge)
-                        stack.append(v)
-            path = [con]
-            while b != a:
-                b, edge = via[b]
-                path.append(edge)
-            return InconsistencyCertificate(path[::-1])
-
-    # pin the smallest member of each component to 0
-    pins: dict[int, int] = {}
-    assignment: dict[BitVec, int] = {}
-    for v in sorted(sys.unknowns, key=lambda v: v.mask):
-        root, pv = forest.find(index[v])
-        assignment[v] = pv ^ pins.setdefault(root, pv)
-    return ParitySolution(assignment=assignment, components=len(pins))
 
 
 def check_certificate(m: int, constraints: list[Constraint]) -> bool:
@@ -263,27 +147,61 @@ class ExtensionResult:
         return self.column is not None
 
 
-def extend_g(m: int) -> ExtensionResult:
-    """Decide existence of the [C(2m,m-1), 2m, C(2m-1,m-1)] extension."""
-    _check_m(m)
-    g = construct_g(m)
-    outcome = solve_parity(build_extension_system(g))
-    if isinstance(outcome, InconsistencyCertificate):
-        return ExtensionResult(certificate=outcome)
+def _odd_walk(m: int) -> list[Constraint]:
+    """Closed walk of 2m-1 constraints that steps once along every column.
+
+    Its parity is the number of odd columns, m mod 2, so for odd m it is an
+    inconsistency certificate.  It starts at the row with ones at 1..m-1,
+    2m-1 and 2m and steps along the columns 1, m, 2, m+1, ..., m-1, 2m-2,
+    2m-1.  Each pair of steps along i and m-1+i moves a 1 of the row from i
+    to m-1+i, and the last step along 2m-1 leads back to the start.
+    """
     two_m = 2 * m
-    e_2m = BitVec.unit(two_m, two_m)
+    flip = (1 << (two_m - 1)) - 1  # e ^ e_2m
+    a = (1 << (m - 1)) - 1 | 3 << (two_m - 2)
+    columns = [c for i in range(1, m) for c in (i, m - 1 + i)] + [two_m - 1]
+    walk: list[Constraint] = []
+    for i in columns:
+        b = a ^ flip ^ 1 << (i - 1)
+        lo, hi = sorted((a, b))
+        walk.append((BitVec(two_m, lo), BitVec(two_m, hi), i % 2))
+        a = b
+    return walk
+
+
+def extend_g(m: int) -> ExtensionResult:
+    """Decide existence of the [C(2m,m-1), 2m, C(2m-1,m-1)] extension.
+
+    A step along column i maps conjugated row a to b = a ^ e ^ e_2m ^ e_i
+    and requires phi(a) ^ phi(b) = i mod 2.  Let phi(a) be the parity of a
+    on the even columns 2, 4, ..., 2m-2, pinned to 0 on the smallest
+    conjugated row.
+    - Two steps along columns i and j move a 1 of a from i to j, so the
+      constraint graph is connected and phi is unique up to a global flip.
+    - One step flips phi by (m-1-[i even]) mod 2, which equals i mod 2
+      exactly when m is even; for odd m, `_odd_walk` is the certificate.
+    """
+    _check_m(m)
+    if m % 2:
+        return ExtensionResult(certificate=InconsistencyCertificate(_odd_walk(m)))
+    g = construct_g(m)
+    two_m = 2 * m
+    top = 1 << (two_m - 1)  # e_2m: the row is conjugated
+    even = sum(1 << (i - 1) for i in range(2, two_m - 1, 2))
+    pin = None
     column: list[Optional[Entry]] = []
-    for r in range(1, g.p + 1):
-        alpha = row_id(g, r)
-        if alpha.bit(two_m) == 0:
+    for alpha in row_ids_for(m):  # the rows of g, in order
+        if not alpha.mask & top:
             column.append(None)
-        else:
-            sign = -1 if outcome.assignment[alpha] else 1
-            column.append(Entry(var=alpha ^ e_2m, sign=sign, conj=False))
-    rows = [list(g.row(r)) + [column[r - 1]] for r in range(1, g.p + 1)]
-    design = CodMatrix.from_rows(m, rows)
+            continue
+        phi = (alpha.mask & even).bit_count() % 2
+        if pin is None:
+            pin = phi
+        sign = -1 if phi ^ pin else 1
+        column.append(Entry(var=BitVec(two_m, alpha.mask ^ top), sign=sign, conj=False))
+    rows = [list(row) + [x] for row, x in zip(g.cells, column)]
     return ExtensionResult(
         column=tuple(column),
-        design=design,
-        solution_count_log2=outcome.components,
+        design=CodMatrix.from_rows(m, rows),
+        solution_count_log2=1,
     )

@@ -67,6 +67,8 @@ def _edited(doc, **fields):
         (["export"], _edited(G5, m=2)),
         (["verify"], _edited(G2, p=400000, k=0, entries=[])),
         (["verify", "--certificate"], _edited(CERT, m=100000000)),
+        (["verify", "--certificate"], _edited(CERT, constraints=[
+            {**c, "parity": bool(c["parity"])} for c in CERT["constraints"]])),
     ],
     ids=[
         "p-string",
@@ -82,6 +84,7 @@ def _edited(doc, **fields):
         "m-mismatch-export",
         "p-too-large",
         "cert-m-too-large",
+        "cert-parity-bool",
     ],
 )
 def test_malformed_input_is_exit_3(tmp_path, capsys, command, text):
@@ -118,6 +121,16 @@ def test_usage_error_is_exit_2(tmp_path, capsys, g2_file):
     assert run("scramble", str(empty), "--seed", "1", "--count", "3") == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_scramble_with_every_id_taken_is_exit_2(tmp_path, capsys):
+    full = tmp_path / "full.json"
+    cells = [{"row": r, "col": 1, "sign": "+", "conj": False, "var": v}
+             for r, v in ((1, "0"), (2, "1"))]
+    full.write_text(_edited(G2, m=1, p=2, n=1, k=2, entries=cells))
+    assert run("scramble", str(full), "--seed", "5", "--count", "1") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot rename") and "Traceback" not in err
 
 
 def test_cli_start_up_does_not_import_numpy():

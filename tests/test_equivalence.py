@@ -7,6 +7,7 @@ from codlib import (
     CodMatrix,
     ColPerm,
     ConjVar,
+    Entry,
     InvalidDesignError,
     NegCol,
     NegRow,
@@ -81,6 +82,17 @@ def test_scramble_is_reproducible():
 def test_scramble_rejects_zero_count():
     with pytest.raises(ValueError):
         scramble(construct_g(2), seed=0, count=0)
+
+
+@pytest.mark.parametrize("ids", [["0", "1"], ["0", "1", "01"]])
+def test_scramble_rename_without_free_id_raises(ids):
+    # every length-1 id is taken (the longer "01" frees none); seed 5 draws
+    # a rename first
+    full = CodMatrix.from_rows(1, [[Entry(BitVec.from_string(v))] for v in ids])
+    with pytest.raises(ParameterError, match="cannot rename"):
+        scramble(full, seed=5, count=1)
+    out, ops = scramble(full, seed=0, count=1)  # NegCol: no id needed
+    assert ops == [NegCol(1)]
 
 
 def test_canonicalize_idempotent():

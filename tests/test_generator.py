@@ -4,20 +4,18 @@ import pytest
 
 from codlib import (
     BitVec,
+    CodMatrix,
     Entry,
-    InconsistencyCertificate,
-    ParitySolution,
-    ParitySystem,
-    build_extension_system,
     check_certificate,
     construct_g,
     extend_g,
     row_id,
-    solve_parity,
     theta,
     verify_symbolic,
 )
+from codlib.equivalence import ParityForest
 from codlib.errors import ParameterError
+from codlib.generator import _odd_walk, row_ids_for
 
 
 def bv(s: str) -> BitVec:
@@ -150,14 +148,33 @@ def test_zero_pattern_completeness_of_g():
         assert pats == expected
 
 
+def build_extension_system(m: int):
+    """Reference XOR system of the 2m-th column: (unknowns, edges).
+
+    For each conjugated row a and each column i where a is nonzero, the
+    Alamouti block joining a to row a ^ e_i ^ e_2m ^ e fixes the relative
+    sign: equal for even i, opposite for odd i.  Each edge is kept once,
+    from its smaller end.
+    """
+    two_m = 2 * m
+    e = BitVec.ones(two_m)
+    e_2m = BitVec.unit(two_m, two_m)
+    unknowns = [a for a in row_ids_for(m) if a.bit(two_m)]
+    edges = []
+    for alpha in unknowns:
+        for i in range(1, two_m):
+            if alpha.bit(i):
+                beta = alpha ^ BitVec.unit(two_m, i) ^ e_2m ^ e
+                if beta.mask >= alpha.mask:
+                    edges.append((alpha, beta, i % 2))
+    return unknowns, edges
+
+
 def test_build_extension_system_m2():
-    g = construct_g(2)
-    sys = build_extension_system(g)
+    unknowns, constraints = build_extension_system(2)
     r2, r3, r4 = bv("1101"), bv("1011"), bv("0111")
-    assert list(sys.unknowns) == [r2, r3, r4]
-    edges = {
-        frozenset((a.mask, b.mask)): c for a, b, c in sys.constraints
-    }
+    assert unknowns == [r2, r3, r4]
+    edges = {frozenset((a.mask, b.mask)): c for a, b, c in constraints}
     assert edges == {
         frozenset((r2.mask, r3.mask)): 1,
         frozenset((r2.mask, r4.mask)): 0,
@@ -166,46 +183,41 @@ def test_build_extension_system_m2():
 
 
 def test_build_extension_system_m1_self_loop():
-    g = construct_g(1)
-    sys = build_extension_system(g)
     a = bv("11")
-    assert sys.constraints == ((a, a, 1),)
+    assert build_extension_system(1) == ([a], [(a, a, 1)])
 
 
-def test_solve_parity_consistent_matches_enumeration():
-    r2, r3, r4 = bv("1101"), bv("1011"), bv("0111")
-    sys = ParitySystem(
-        (r2, r3, r4), ((r2, r3, 1), (r2, r4, 0), (r3, r4, 1))
-    )
-    out = solve_parity(sys)
-    assert isinstance(out, ParitySolution)
-    assert out.components == 1
-    # enumeration over all 8 assignments finds exactly 2 solutions
-    sols = [
-        (a, b, c)
-        for a in (0, 1)
-        for b in (0, 1)
-        for c in (0, 1)
-        if a ^ b == 1 and a ^ c == 0 and b ^ c == 1
-    ]
-    assert len(sols) == 2
-    got = (out.assignment[r2], out.assignment[r3], out.assignment[r4])
-    assert got in sols
-    assert got[0] == 0  # smallest unknown pinned to 0
+@pytest.mark.parametrize("m", range(1, 9))
+def test_closed_form_solves_the_extension_system(m):
+    unknowns, edges = build_extension_system(m)
+    index = {a: i for i, a in enumerate(unknowns)}
+    forest = ParityForest(len(unknowns))
+    clashes = [forest.join(index[a], index[b], c) for a, b, c in edges]
+    res = extend_g(m)
+    if m % 2:
+        assert not res.exists and 1 in clashes
+        return
+    assert 1 not in clashes
+    assert len({forest.find(i)[0] for i in range(len(unknowns))}) == 1
+    # read the row ids off the first 2m-1 columns of the extended design
+    g = CodMatrix.from_rows(m, [row[:-1] for row in res.design.cells])
+    e_2m = BitVec.unit(2 * m, 2 * m)
+    phi = {}
+    for r, x in enumerate(res.column, start=1):
+        alpha = row_id(g, r)
+        if not alpha.bit(2 * m):
+            assert x is None
+            continue
+        assert x.var == alpha ^ e_2m and not x.conj
+        phi[alpha] = int(x.sign < 0)
+    assert set(phi) == set(unknowns) and phi[unknowns[0]] == 0
+    assert all(phi[a] ^ phi[b] == c for a, b, c in edges)
 
 
-def test_solve_parity_self_loop_inconsistent():
-    a = bv("11")
-    out = solve_parity(ParitySystem((a,), ((a, a, 1),)))
-    assert isinstance(out, InconsistencyCertificate)
-    assert out.constraints == [(a, a, 1)]
-    assert out.parity() == 1
-
-
-def test_solve_parity_empty():
-    out = solve_parity(ParitySystem((), ()))
-    assert isinstance(out, ParitySolution)
-    assert out.components == 0 and out.assignment == {}
+def test_odd_walk_certifies_exactly_the_odd_m():
+    # beyond M_MAX too: the walk never builds G
+    for m in range(1, 102):
+        assert check_certificate(m, _odd_walk(m)) == (m % 2 == 1)
 
 
 def test_extend_even_m():

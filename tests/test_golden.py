@@ -29,7 +29,7 @@ def test_canonical_form_of_scrambled_g_matches_pin(m):
     assert sha(design_to_json(canonicalize(scrambled))) == PINS["canonical"][str(m)]
 
 
-@pytest.mark.parametrize("m", [3, 5])
+@pytest.mark.parametrize("m", [3, 5, 7])
 def test_certificate_matches_pin(m):
     cert = extend_g(m).certificate
     assert sha(certificate_to_json(m, cert)) == PINS["certificate"][str(m)]
