@@ -97,7 +97,12 @@ def min_delay(n: int) -> int:
     return 2 * base if n % 4 == 2 else base
 
 
+BOUNDS_N_MAX = 10000  # the delay C(2m,m-1) stays below Python's 4300-digit str limit
+
+
 def bounds(n: int) -> BoundsReport:
+    if n > BOUNDS_N_MAX:
+        raise ParameterError(f"n must be <= {BOUNDS_N_MAX}, got {n}")
     m = (n + 1) // 2
     return BoundsReport(
         n=n, m=m, max_rate=max_rate(n), min_delay=min_delay(n) if n >= 2 else None
@@ -120,43 +125,38 @@ class StructuralReport:
         return all(c.ok for c in self.checks)
 
 
-def _check_pattern_relations(cod: CodMatrix) -> CheckResult:
+def _check_pattern_relations(cod: CodMatrix, patterns: list[int]) -> CheckResult:
     """Same-variable instance pairs: equal conjugation means the two zero
     patterns differ exactly at the instance columns; opposite conjugation
     means they agree exactly there."""
-    patterns = [zero_pattern(cod, r) for r in range(1, cod.p + 1)]
     witnesses = []
     for var in cod.variables():
         inst = cod.instances(var)
         for a in range(len(inst)):
-            for b in range(a + 1, len(inst)):
-                ra, ca, ea = inst[a]
-                rb, cb, eb = inst[b]
-                diff = patterns[ra - 1] ^ patterns[rb - 1]
-                expect_cols = {ca, cb}
-                if ea.conj == eb.conj:
-                    got = set(diff.support())
-                else:
-                    got = set((diff ^ BitVec.ones(cod.n)).support())
-                if got != expect_cols:
-                    witnesses.append((var, (ra, ca), (rb, cb), sorted(got)))
+            ra, ca, ea = inst[a]
+            for rb, cb, eb in inst[a + 1:]:
+                got = patterns[ra - 1] ^ patterns[rb - 1]
+                if ea.conj != eb.conj:
+                    got ^= (1 << cod.n) - 1
+                if got != 1 << (ca - 1) | 1 << (cb - 1):
+                    cols = [i for i in range(1, cod.n + 1) if got >> (i - 1) & 1]
+                    witnesses.append((var, (ra, ca), (rb, cb), cols))
     return CheckResult("zero_pattern_relations", not witnesses, witnesses)
 
 
-def _check_pattern_completeness(cod: CodMatrix) -> CheckResult:
+def _check_pattern_completeness(cod: CodMatrix, patterns: list[int]) -> CheckResult:
     """Minimal-delay designs carry every admissible zero pattern once:
     weights m and m+1 for n = 2m-1, weight m+1 for n = 2m."""
     m = cod.m
-    patterns = [zero_pattern(cod, r) for r in range(1, cod.p + 1)]
     admissible = {m, m + 1} if cod.n == 2 * m - 1 else {m + 1}  # n = 2m
     witnesses = []
     seen = set()
     for r, pat in enumerate(patterns, start=1):
-        if pat.weight() not in admissible:
-            witnesses.append(("bad-weight", r, str(pat)))
-        elif pat.mask in seen:
-            witnesses.append(("repeated", r, str(pat)))
-        seen.add(pat.mask)
+        if pat.bit_count() not in admissible:
+            witnesses.append(("bad-weight", r, str(BitVec(cod.n, pat))))
+        elif pat in seen:
+            witnesses.append(("repeated", r, str(BitVec(cod.n, pat))))
+        seen.add(pat)
     expected = sum(comb(cod.n, w) for w in admissible)
     if not witnesses and len(seen) != expected:
         witnesses.append(("missing-patterns", expected - len(seen)))
@@ -186,10 +186,11 @@ def _check_block_structure(cod: CodMatrix) -> CheckResult:
 
 
 def structural_report(cod: CodMatrix) -> StructuralReport:
+    patterns = [zero_pattern(cod, r).mask for r in range(1, cod.p + 1)]
     return StructuralReport(
         checks=[
-            _check_pattern_relations(cod),
-            _check_pattern_completeness(cod),
+            _check_pattern_relations(cod, patterns),
+            _check_pattern_completeness(cod, patterns),
             _check_block_structure(cod),
         ]
     )

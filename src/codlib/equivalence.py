@@ -99,8 +99,7 @@ def apply_op(cod: CodMatrix, op: EquivOp) -> CodMatrix:
             for r in rows
         ]
     elif isinstance(op, RenameVar):
-        present = {e.var for r in rows for e in r if e is not None}
-        if op.new != op.old and op.new in present:
+        if op.new != op.old and op.new in cod.variables():
             raise ValueError(f"rename target {op.new} already in use")
         rows = [
             [
@@ -142,18 +141,17 @@ def scramble(
     out = cod
     for _ in range(count):
         kind = rng.randrange(7)
-        variables = out.variables()
-        length = variables[0].length
         if kind == 0:
             op: EquivOp = RowPerm(tuple(rng.sample(range(1, out.p + 1), out.p)))
         elif kind == 1:
             op = ColPerm(tuple(rng.sample(range(1, out.n + 1), out.n)))
         elif kind == 2:
-            op = ConjVar(rng.choice(variables))
+            op = ConjVar(rng.choice(out.variables()))
         elif kind == 3:
-            op = NegVar(rng.choice(variables))
+            op = NegVar(rng.choice(out.variables()))
         elif kind == 4:
-            used = {v.mask for v in variables}
+            length = out.variables()[0].length
+            used = {v.mask for v in out.variables()}
             if all(mask in used for mask in range(1 << length)):
                 raise ParameterError(
                     f"cannot rename: every variable id of length {length} is in use"
@@ -162,7 +160,7 @@ def scramble(
                 mask = rng.randrange(1 << length)
                 if mask not in used:
                     break
-            op = RenameVar(rng.choice(variables), BitVec(length, mask))
+            op = RenameVar(rng.choice(out.variables()), BitVec(length, mask))
         elif kind == 5:
             op = NegRow(rng.randrange(1, out.p + 1))
         else:

@@ -27,15 +27,15 @@ Constraint = tuple[BitVec, BitVec, int]
 
 def theta(alpha: BitVec, i: int) -> int:
     """Sign exponent for the nonzero entry at (alpha, i); requires alpha(i)=1."""
-    two_m = alpha.length
+    two_m, a = alpha.length, alpha.mask
     if not 1 <= i <= two_m - 1:
         raise IndexError(f"column {i} out of range 1..{two_m - 1}")
-    if alpha.bit(i) != 1:
+    if not a >> (i - 1) & 1:
         raise ValueError(f"theta undefined: bit {i} of {alpha} is 0")
-    w = alpha.partial_weight(i, two_m)
+    w = (a >> (i - 1)).bit_count()  # bits i..2m
     if i % 2 == 0:
         return (w + i // 2) % 2
-    return (w + (i - 1) // 2 + alpha.bit(two_m)) % 2
+    return (w + (i - 1) // 2 + (a >> (two_m - 1))) % 2
 
 
 def _check_m(m: int) -> None:
@@ -57,18 +57,18 @@ def construct_g(m: int) -> CodMatrix:
     """Build the standard [C(2m,m-1), 2m-1, C(2m-1,m-1)] design."""
     _check_m(m)
     two_m = 2 * m
-    e = BitVec.ones(two_m)
     rows = []
+    variables: dict[int, BitVec] = {}  # mask -> its one BitVec
     for alpha in row_ids_for(m):
-        conj = bool(alpha.bit(two_m))
+        conj = alpha.mask >> (two_m - 1) == 1
+        flip = (1 << two_m) - 1 if conj else 0  # e, for a conjugated row
         row: list[Optional[Entry]] = []
         for i in range(1, two_m):
-            if alpha.bit(i) == 0:
+            if not alpha.mask >> (i - 1) & 1:
                 row.append(None)
                 continue
-            var = alpha ^ BitVec.unit(two_m, i)
-            if conj:
-                var = var ^ e
+            v = alpha.mask ^ 1 << (i - 1) ^ flip
+            var = variables.get(v) or variables.setdefault(v, BitVec(two_m, v))
             sign = -1 if theta(alpha, i) else 1
             row.append(Entry(var=var, sign=sign, conj=conj))
         rows.append(row)

@@ -47,13 +47,17 @@ class CodMatrix:
 
     p: int
     n: int
-    k: int
     cells: tuple[tuple[Cell, ...], ...]
 
     @property
     def m(self) -> int:
         """The family index: n = 2m-1, or n = 2m for an extended design."""
         return (self.n + 1) // 2
+
+    @property
+    def k(self) -> int:
+        """The number of distinct variables."""
+        return len(self._variables)
 
     @classmethod
     def from_rows(cls, m: int, rows: Sequence[Sequence[Cell]]) -> "CodMatrix":
@@ -66,9 +70,7 @@ class CodMatrix:
             raise ParameterError("rows have unequal lengths")
         if m != (n + 1) // 2:
             raise ParameterError(f"m={m} but n={n} needs m={(n + 1) // 2}")
-        cells = tuple(tuple(r) for r in rows)
-        seen = {e.var for row in cells for e in row if e is not None}
-        return cls(p=p, n=n, k=len(seen), cells=cells)
+        return cls(p=p, n=n, cells=tuple(tuple(r) for r in rows))
 
     def entry(self, row: int, col: int) -> Cell:
         if not (1 <= row <= self.p and 1 <= col <= self.n):
@@ -80,10 +82,14 @@ class CodMatrix:
             raise IndexError(f"row {row} out of range 1..{self.p}")
         return self.cells[row - 1]
 
-    def variables(self) -> list[BitVec]:
-        """Distinct variable ids, ascending by mask."""
+    @cached_property
+    def _variables(self) -> tuple[BitVec, ...]:
         seen = {e.var for row in self.cells for e in row if e is not None}
-        return sorted(seen, key=lambda v: v.mask)
+        return tuple(sorted(seen, key=lambda v: v.mask))
+
+    def variables(self) -> tuple[BitVec, ...]:
+        """Distinct variable ids, ascending by mask; computed once."""
+        return self._variables
 
     @cached_property
     def _instance_index(self) -> dict[BitVec, list[tuple[int, int, Entry]]]:

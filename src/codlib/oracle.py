@@ -90,7 +90,7 @@ def _enumerate_family(spec: SearchSpec) -> list[EquivalenceClass]:
 def _enumerate_free(spec: SearchSpec) -> list[EquivalenceClass]:
     if spec.n > 3:
         raise ParameterError("free mode is limited to n <= 3")
-    length = max(2, spec.k.bit_length() + 1)
+    length = max(2, spec.k.bit_length() + 1, spec.k)  # room for k unit ids
     variables = [BitVec.unit(length, i + 1) for i in range(spec.k)]
     options: list[Optional[Entry]] = [None]
     for v in variables:

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -6,6 +7,7 @@ from codlib import (
     BitVec,
     CodMatrix,
     DesignError,
+    Entry,
     construct_g,
     extend_g,
     extract_bj,
@@ -14,6 +16,7 @@ from codlib import (
     row_id,
     shares_alamouti,
     structural_report,
+    zero_pattern,
 )
 
 
@@ -126,3 +129,64 @@ def test_structural_report_missing_row(eq3):
     )
     assert not completeness.ok
     assert completeness.witnesses
+
+
+def _reference_pattern_witnesses(cod):
+    """Both zero-pattern checks bit by bit, on BitVec supports."""
+    patterns = [zero_pattern(cod, r) for r in range(1, cod.p + 1)]
+    relations = []
+    for var in cod.variables():
+        inst = cod.instances(var)
+        for a in range(len(inst)):
+            for b in range(a + 1, len(inst)):
+                (ra, ca, ea), (rb, cb, eb) = inst[a], inst[b]
+                diff = patterns[ra - 1] ^ patterns[rb - 1]
+                if ea.conj != eb.conj:
+                    diff = diff ^ BitVec.ones(cod.n)
+                if set(diff.support()) != {ca, cb}:
+                    relations.append((var, (ra, ca), (rb, cb), diff.support()))
+    m = cod.m
+    admissible = {m, m + 1} if cod.n == 2 * m - 1 else {m + 1}
+    completeness, seen = [], set()
+    for r, pat in enumerate(patterns, start=1):
+        if pat.weight() not in admissible:
+            completeness.append(("bad-weight", r, str(pat)))
+        elif pat in seen:
+            completeness.append(("repeated", r, str(pat)))
+        seen.add(pat)
+    expected = sum(comb(cod.n, w) for w in admissible)
+    if not completeness and len(seen) != expected:
+        completeness.append(("missing-patterns", expected - len(seen)))
+    return [relations, completeness]
+
+
+def _edited_g3(edit):
+    rows = [list(row) for row in construct_g(3).cells]
+    edit(rows)
+    return CodMatrix.from_rows(3, rows)
+
+
+def _swap_two_cells(rows):
+    rows[0][0], rows[0][1] = rows[0][1], rows[0][0]
+
+
+def _rename_one_cell(rows):
+    e, other = rows[0][0], next(x for x in rows[-1] if x is not None)
+    rows[0][0] = Entry(other.var, e.sign, e.conj)
+
+
+@pytest.mark.parametrize(
+    "design",
+    [
+        lambda: construct_g(3),
+        lambda: extend_g(2).design,
+        lambda: _edited_g3(_swap_two_cells),
+        lambda: _edited_g3(_rename_one_cell),
+        lambda: _edited_g3(lambda rows: rows.pop(4)),
+    ],
+    ids=["g3", "extended", "swapped-cells", "renamed-cell", "dropped-row"],
+)
+def test_pattern_witnesses_match_bitwise_reference(design):
+    cod = design()
+    checks = structural_report(cod).checks
+    assert [c.witnesses for c in checks[:2]] == _reference_pattern_witnesses(cod)

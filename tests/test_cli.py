@@ -100,6 +100,8 @@ def test_usage_error_is_exit_2(tmp_path, capsys, g2_file):
     assert run("generate") == 2
     assert run("generate", "-m", "42") == 2
     assert run("bounds", "-n", "0") == 2
+    assert run("bounds", "-n", "14500") == 2  # the delay has too many digits to print
+    assert capsys.readouterr().out == ""
     assert run("scramble", str(g2_file), "--seed", "1", "--count", "0") == 2
     assert run("verify", str(g2_file), "--numeric", "--trials", "0") == 2
     assert run("verify", str(g2_file), "--numeric", "--tol", "0") == 2

@@ -7,15 +7,33 @@ from pathlib import Path
 import pytest
 
 from codlib import canonicalize, construct_g, extend_g, scramble
-from codlib.fileio import certificate_to_json, design_to_json
+from codlib.fileio import certificate_to_json, design_to_json, ops_to_text
 
 PINS = json.loads(
     (Path(__file__).resolve().parents[1] / "perfbench" / "pins.json").read_text()
 )
 
 
+# sha256 of the design and the op log of scramble(construct_g(3), seed, 40).
+# Canonical forms do not depend on the random stream; these pin it.
+SCRAMBLE_PINS = {
+    1: ("6ccb45d0dd870769f4989e9bd7c4a61430fabededcd6ee17d0d2924b9348ebdd",
+        "ccf91f7e7fd21bc44cfd9aebd7c2b081139db9850c3f2b3454ef9aa8aec9a602"),
+    2: ("67f8fcc346026e90129e069ab452aefa4288aec8e78785765f6f03aaeb2cb90e",
+        "a3151d0be93f483663cb9e243e232ddd0916b12b33b83657dae3b2d014911b80"),
+    3: ("51142a3975f2bc52fb688c6614b65691d594534d177db82f9c4ae71ca975864f",
+        "f7a1133d43143a1cc0fb2f022a8133bcc3bd32226914ae22985e5e364edea734"),
+}
+
+
 def sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("seed", sorted(SCRAMBLE_PINS))
+def test_scramble_stream_matches_pin(seed):
+    out, ops = scramble(construct_g(3), seed=seed, count=40)
+    assert (sha(design_to_json(out)), sha(ops_to_text(ops))) == SCRAMBLE_PINS[seed]
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5])

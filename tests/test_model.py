@@ -1,4 +1,5 @@
 import random
+from dataclasses import fields
 
 import pytest
 
@@ -8,6 +9,7 @@ from codlib import (
     Entry,
     MixedConjugationError,
     construct_g,
+    extend_g,
     row_id,
     scramble,
     verify_numeric,
@@ -127,6 +129,13 @@ def test_m_is_derived_from_n(eq3):
     assert eq3.m == 2
     with pytest.raises(ParameterError):
         CodMatrix.from_rows(3, [list(r) for r in eq3.cells])
+    # k is derived from the cells as well; it is not stored
+    assert [f.name for f in fields(CodMatrix)] == ["p", "n", "cells"]
+    z1, z2 = BitVec.unit(4, 1), BitVec.unit(4, 2)
+    cod = CodMatrix.from_rows(1, [[Entry(z2)], [Entry(z1, -1, True)], [Entry(z2, -1)]])
+    assert cod.k == 2 and cod.variables() == (z1, z2)
+    for m in (2, 4):
+        assert extend_g(m).design.k == construct_g(m).k
 
 
 def test_verify_numeric_trivial():

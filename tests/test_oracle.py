@@ -30,6 +30,10 @@ def test_free_enumeration_121_empty():
     assert enumerate_cods(SearchSpec(p=1, n=2, k=1, mode="free")) == []
 
 
+def test_free_enumeration_with_more_variables_than_cells_is_empty():
+    assert enumerate_cods(SearchSpec(p=1, n=1, k=5, mode="free")) == []
+
+
 def test_free_enumeration_111():
     classes = enumerate_cods(SearchSpec(p=1, n=1, k=1, mode="free"))
     assert len(classes) == 1
