@@ -25,10 +25,11 @@ coset, which makes step 3 a well-defined canonical choice.
 
 from __future__ import annotations
 
+import bisect
 import random
 from dataclasses import dataclass
 from math import comb
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 from .bitvec import BitVec
 from .errors import InvalidDesignError, ParameterError
@@ -79,52 +80,52 @@ def _check_perm(perm: tuple[int, ...], size: int, what: str) -> None:
         raise IndexError(f"{what} permutation {perm} is not a bijection of 1..{size}")
 
 
-def apply_op(cod: CodMatrix, op: EquivOp) -> CodMatrix:
-    """Apply one equivalence operation; (p, n, k) are preserved."""
-    rows = [list(r) for r in cod.cells]
-    if isinstance(op, RowPerm):
-        _check_perm(op.perm, cod.p, "row")
-        rows = [list(cod.cells[i - 1]) for i in op.perm]
-    elif isinstance(op, ColPerm):
-        _check_perm(op.perm, cod.n, "column")
-        rows = [[r[i - 1] for i in op.perm] for r in rows]
-    elif isinstance(op, ConjVar):
-        rows = [
-            [e.conjugated() if e is not None and e.var == op.var else e for e in r]
-            for r in rows
-        ]
-    elif isinstance(op, NegVar):
-        rows = [
-            [e.negated() if e is not None and e.var == op.var else e for e in r]
-            for r in rows
-        ]
-    elif isinstance(op, RenameVar):
-        if op.new != op.old and op.new in cod.variables():
-            raise ValueError(f"rename target {op.new} already in use")
-        rows = [
-            [
-                Entry(op.new, e.sign, e.conj)
-                if e is not None and e.var == op.old
-                else e
-                for e in r
-            ]
-            for r in rows
-        ]
-    elif isinstance(op, NegRow):
-        if not 1 <= op.row <= cod.p:
-            raise IndexError(f"row {op.row} out of range")
-        rows[op.row - 1] = [
-            e.negated() if e is not None else None for e in rows[op.row - 1]
-        ]
-    elif isinstance(op, NegCol):
-        if not 1 <= op.col <= cod.n:
-            raise IndexError(f"column {op.col} out of range")
-        for r in rows:
-            if r[op.col - 1] is not None:
-                r[op.col - 1] = r[op.col - 1].negated()
-    else:
-        raise TypeError(f"unknown operation {op!r}")
-    return CodMatrix.from_rows(cod.m, rows)
+def apply_ops(cod: CodMatrix, ops: Sequence[EquivOp]) -> CodMatrix:
+    """Apply equivalence operations in order; (p, n, k) are preserved.
+
+    The ops only update three small tables, which are read once to build the
+    output; a cell that no op negates, conjugates or renames keeps its Entry.
+    """
+    rows = [[r, False] for r in range(cod.p)]  # [input row, negated]
+    cols = [[c, False] for c in range(cod.n)]
+    ids = {v: [v, False, False] for v in cod.variables()}  # [input id, negated, conjugated]
+    for op in ops:
+        if isinstance(op, RowPerm):
+            _check_perm(op.perm, cod.p, "row")
+            rows = [rows[i - 1] for i in op.perm]
+        elif isinstance(op, ColPerm):
+            _check_perm(op.perm, cod.n, "column")
+            cols = [cols[i - 1] for i in op.perm]
+        elif isinstance(op, (NegVar, ConjVar)):
+            if op.var in ids:
+                ids[op.var][1 if isinstance(op, NegVar) else 2] ^= True
+        elif isinstance(op, RenameVar):
+            if op.new != op.old and op.new in ids:
+                raise ValueError(f"rename target {op.new} already in use")
+            if op.old in ids:
+                ids[op.new] = ids.pop(op.old)
+        elif isinstance(op, NegRow):
+            if not 1 <= op.row <= cod.p:
+                raise IndexError(f"row {op.row} out of range")
+            rows[op.row - 1][1] ^= True
+        elif isinstance(op, NegCol):
+            if not 1 <= op.col <= cod.n:
+                raise IndexError(f"column {op.col} out of range")
+            cols[op.col - 1][1] ^= True
+        else:
+            raise TypeError(f"unknown operation {op!r}")
+    current = {old: (var, neg, conj) for var, (old, neg, conj) in ids.items()}
+
+    def cell(e: Optional[Entry], neg: bool) -> Optional[Entry]:
+        if e is None:
+            return None
+        var, var_neg, conj = current[e.var]
+        if neg ^ var_neg or conj or var != e.var:
+            return Entry(var, -e.sign if neg ^ var_neg else e.sign, e.conj ^ conj)
+        return e
+
+    grid = [[cell(cod.cells[r][c], rn ^ cn) for c, cn in cols] for r, rn in rows]
+    return CodMatrix.from_rows(cod.m, grid)
 
 
 def scramble(
@@ -137,21 +138,21 @@ def scramble(
     if cod.k == 0:
         raise ParameterError("cannot scramble a design without variables")
     rng = random.Random(seed)
+    ids = list(cod.variables())  # ascending by mask; only renames change it
     ops: list[EquivOp] = []
-    out = cod
     for _ in range(count):
         kind = rng.randrange(7)
         if kind == 0:
-            op: EquivOp = RowPerm(tuple(rng.sample(range(1, out.p + 1), out.p)))
+            op: EquivOp = RowPerm(tuple(rng.sample(range(1, cod.p + 1), cod.p)))
         elif kind == 1:
-            op = ColPerm(tuple(rng.sample(range(1, out.n + 1), out.n)))
+            op = ColPerm(tuple(rng.sample(range(1, cod.n + 1), cod.n)))
         elif kind == 2:
-            op = ConjVar(rng.choice(out.variables()))
+            op = ConjVar(rng.choice(ids))
         elif kind == 3:
-            op = NegVar(rng.choice(out.variables()))
+            op = NegVar(rng.choice(ids))
         elif kind == 4:
-            length = out.variables()[0].length
-            used = {v.mask for v in out.variables()}
+            length = ids[0].length
+            used = {v.mask for v in ids}
             if all(mask in used for mask in range(1 << length)):
                 raise ParameterError(
                     f"cannot rename: every variable id of length {length} is in use"
@@ -160,14 +161,15 @@ def scramble(
                 mask = rng.randrange(1 << length)
                 if mask not in used:
                     break
-            op = RenameVar(rng.choice(out.variables()), BitVec(length, mask))
+            op = RenameVar(rng.choice(ids), BitVec(length, mask))
+            ids.remove(op.old)
+            bisect.insort(ids, op.new, key=lambda v: v.mask)
         elif kind == 5:
-            op = NegRow(rng.randrange(1, out.p + 1))
+            op = NegRow(rng.randrange(1, cod.p + 1))
         else:
-            op = NegCol(rng.randrange(1, out.n + 1))
-        out = apply_op(out, op)
+            op = NegCol(rng.randrange(1, cod.n + 1))
         ops.append(op)
-    return out, ops
+    return apply_ops(cod, ops), ops
 
 
 # -- canonical form --------------------------------------------------------

@@ -134,17 +134,17 @@ def check_certificate(m: int, constraints: list[Constraint]) -> bool:
 class ExtensionResult:
     """Outcome of attempting to append column 2m to the standard design.
 
-    Exactly one of (column, design, solution_count_log2) or certificate is set.
+    Exactly one of (design, solution_count_log2) or certificate is set; the
+    new column is the last column of `design`.
     """
 
-    column: Optional[tuple[Optional[Entry], ...]] = None
     design: Optional[CodMatrix] = None
     solution_count_log2: Optional[int] = None
     certificate: Optional[InconsistencyCertificate] = None
 
     @property
     def exists(self) -> bool:
-        return self.column is not None
+        return self.design is not None
 
 
 def _odd_walk(m: int) -> list[Constraint]:
@@ -200,8 +200,4 @@ def extend_g(m: int) -> ExtensionResult:
         sign = -1 if phi ^ pin else 1
         column.append(Entry(var=BitVec(two_m, alpha.mask ^ top), sign=sign, conj=False))
     rows = [list(row) + [x] for row, x in zip(g.cells, column)]
-    return ExtensionResult(
-        column=tuple(column),
-        design=CodMatrix.from_rows(m, rows),
-        solution_count_log2=1,
-    )
+    return ExtensionResult(design=CodMatrix.from_rows(m, rows), solution_count_log2=1)

@@ -1,6 +1,19 @@
+import shutil
+import tempfile
+
 import pytest
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from codlib import BitVec, CodMatrix, Entry
+
+# Hypothesis caches the constants it reads from the source in its home
+# directory even without an example database; keep that out of the tree.
+HYPOTHESIS_HOME = tempfile.mkdtemp(prefix="codlib-hypothesis-")
+set_hypothesis_home_dir(HYPOTHESIS_HOME)
+
+
+def pytest_unconfigure(config):
+    shutil.rmtree(HYPOTHESIS_HOME, ignore_errors=True)
 
 
 def make_eq3() -> CodMatrix:

@@ -1,9 +1,12 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import codlib
 from codlib import construct_g, extend_g
@@ -51,25 +54,28 @@ def _edited(doc, **fields):
     return json.dumps({**doc, **fields})
 
 
+MALFORMED = [
+    (["verify"], _edited(G2, p="4")),
+    (["verify"], _edited(G2, entries=[5] + G2["entries"][1:])),
+    (["verify"], _edited(G2, entries=[{**G2["entries"][0], "var": 5}])),
+    (["verify", "--certificate"], _edited(CERT, m="3")),
+    (["verify", "--certificate"], _edited(CERT, version=2)),
+    (["verify", "--certificate"], "[]"),
+    (["verify", "--certificate"], None),
+    (["analyze"], _edited(G5, m=2)),
+    (["canonicalize"], _edited(G5, m=2)),
+    (["verify"], _edited(G5, m=2)),
+    (["export"], _edited(G5, m=2)),
+    (["verify"], _edited(G2, p=400000, k=0, entries=[])),
+    (["verify", "--certificate"], _edited(CERT, m=100000000)),
+    (["verify", "--certificate"], _edited(CERT, constraints=[
+        {**c, "parity": bool(c["parity"])} for c in CERT["constraints"]])),
+]
+
+
 @pytest.mark.parametrize(
     "command, text",
-    [
-        (["verify"], _edited(G2, p="4")),
-        (["verify"], _edited(G2, entries=[5] + G2["entries"][1:])),
-        (["verify"], _edited(G2, entries=[{**G2["entries"][0], "var": 5}])),
-        (["verify", "--certificate"], _edited(CERT, m="3")),
-        (["verify", "--certificate"], _edited(CERT, version=2)),
-        (["verify", "--certificate"], "[]"),
-        (["verify", "--certificate"], None),
-        (["analyze"], _edited(G5, m=2)),
-        (["canonicalize"], _edited(G5, m=2)),
-        (["verify"], _edited(G5, m=2)),
-        (["export"], _edited(G5, m=2)),
-        (["verify"], _edited(G2, p=400000, k=0, entries=[])),
-        (["verify", "--certificate"], _edited(CERT, m=100000000)),
-        (["verify", "--certificate"], _edited(CERT, constraints=[
-            {**c, "parity": bool(c["parity"])} for c in CERT["constraints"]])),
-    ],
+    MALFORMED,
     ids=[
         "p-string",
         "entry-not-object",
@@ -96,6 +102,73 @@ def test_malformed_input_is_exit_3(tmp_path, capsys, command, text):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+# Fuzz seeds, half of them valid: the valid documents, or a malformed case
+# that parses.  An edited field gets a value that field has in a valid
+# document, or any JSON value.
+VALID = [G2, G5, CERT]
+SEEDS = st.sampled_from(VALID) | st.sampled_from(
+    [json.loads(text) for _, text in MALFORMED if text])
+FIELD_VALUES: dict = {}  # key -> {JSON text: value}
+for _doc in VALID:
+    for _obj in [_doc] + [x for v in _doc.values() if isinstance(v, list) for x in v]:
+        for _key, _value in _obj.items():
+            FIELD_VALUES.setdefault(_key, {})[json.dumps(_value)] = _value
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text("01+-x", max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(sorted(FIELD_VALUES)), inner, max_size=3),
+    max_leaves=4,
+)
+
+
+def _edit(data, doc):
+    """Change or drop a field, or duplicate or remove a list entry, at the
+    top or one level down."""
+    lists = [doc] if isinstance(doc, list) else [v for v in doc.values() if isinstance(v, list)]
+    if lists and data.draw(st.booleans()):
+        items = data.draw(st.sampled_from(lists))
+        i = data.draw(st.integers(0, max(len(items) - 1, 0)))
+        how = data.draw(st.sampled_from(["duplicate", "remove", "edit"]))
+        if how == "duplicate" and items:
+            items.insert(i, json.loads(json.dumps(items[i])))
+        elif how == "remove" and items:
+            del items[i]
+        elif items and isinstance(items[i], dict):
+            _edit(data, items[i])
+    elif isinstance(doc, dict):
+        key = data.draw(st.sampled_from(sorted(set(doc) | set(FIELD_VALUES))))
+        if data.draw(st.booleans()):
+            doc.pop(key, None)
+        else:
+            value = data.draw(st.sampled_from(list(FIELD_VALUES[key].values())) | JSON_VALUES)
+            doc[key] = json.loads(json.dumps(value))
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz")
+    (path / "g2.json").write_text(design_to_json(construct_g(2)))
+    return path
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(data=st.data())
+def test_fuzzed_input_exits_cleanly(fuzz_dir, data):
+    doc = json.loads(json.dumps(data.draw(SEEDS)))
+    for _ in range(data.draw(st.integers(1, 3))):
+        _edit(data, doc)
+    path, g2 = str(fuzz_dir / "in.json"), str(fuzz_dir / "g2.json")
+    (fuzz_dir / "in.json").write_text(json.dumps(doc))
+    for argv in (["verify", path], ["verify", path, "--certificate"],
+                 ["canonicalize", path], ["equivalent", path, g2], ["analyze", path],
+                 ["export", path], ["scramble", path, "--seed", "1", "--count", "3"]):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2, 3), (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue() and "internal error" not in err.getvalue()
+
+
 def test_usage_error_is_exit_2(tmp_path, capsys, g2_file):
     assert run("generate") == 2
     assert run("generate", "-m", "42") == 2
@@ -107,6 +180,14 @@ def test_usage_error_is_exit_2(tmp_path, capsys, g2_file):
     assert run("verify", str(g2_file), "--numeric", "--tol", "0") == 2
     assert run("verify", str(g2_file), "--numeric", "--tol", "nan") == 2
     capsys.readouterr()
+    e4 = str(tmp_path / "e4.json")  # the m=2 extension: n=4 is outside the family
+    assert run("extend", "-m", "2", "-o", e4) == 0
+    capsys.readouterr()
+    assert run("canonicalize", e4) == 2
+    assert run("equivalent", e4, e4) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: n must be odd (2m-1), got 4\n" * 2
+    assert captured.out == ""
     no_dir = tmp_path / "missing" / "out"
     assert run("generate", "-m", "2", "-o", str(no_dir)) == 2
     out = str(tmp_path / "s.json")

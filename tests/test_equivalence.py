@@ -1,6 +1,7 @@
-import random
+from functools import reduce
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from codlib import (
     BitVec,
@@ -14,32 +15,34 @@ from codlib import (
     NegVar,
     RenameVar,
     RowPerm,
-    apply_op,
+    apply_ops,
     canonicalize,
     construct_g,
     equivalent,
     scramble,
     verify_symbolic,
 )
+from codlib.equivalence import _check_perm
 from codlib.errors import ParameterError
+from conftest import make_eq3
 
 
 def test_negrow_on_known_design(eq3):
-    out = apply_op(eq3, NegRow(1))
+    out = apply_ops(eq3, [NegRow(1)])
     assert [e.sign for e in out.row(1)] == [-1, -1, -1]
     assert verify_symbolic(out).ok
 
 
 def test_conjvar_on_known_design(eq3):
     z1 = BitVec.unit(4, 1)
-    out = apply_op(eq3, ConjVar(z1))
+    out = apply_ops(eq3, [ConjVar(z1)])
     flags = [e.conj for _, _, e in out.instances(z1)]
     assert flags == [True, False, False]
     assert verify_symbolic(out).ok
 
 
 def test_colperm_on_known_design(eq3):
-    out = apply_op(eq3, ColPerm((2, 1, 3)))
+    out = apply_ops(eq3, [ColPerm((2, 1, 3))])
     assert out.entry(1, 1) == eq3.entry(1, 2)
     assert out.entry(1, 2) == eq3.entry(1, 1)
     assert verify_symbolic(out).ok
@@ -47,27 +50,123 @@ def test_colperm_on_known_design(eq3):
 
 def test_rowperm_is_validated(eq3):
     with pytest.raises(IndexError):
-        apply_op(eq3, RowPerm((1, 1, 2, 3)))
+        apply_ops(eq3, [RowPerm((1, 1, 2, 3))])
     with pytest.raises(IndexError):
-        apply_op(eq3, NegRow(5))
+        apply_ops(eq3, [NegRow(5)])
     with pytest.raises(IndexError):
-        apply_op(eq3, NegCol(0))
+        apply_ops(eq3, [NegCol(0)])
 
 
 def test_rename_rejects_collision(eq3):
     z1, z2 = BitVec.unit(4, 1), BitVec.unit(4, 2)
     with pytest.raises(ValueError):
-        apply_op(eq3, RenameVar(z1, z2))
+        apply_ops(eq3, [RenameVar(z1, z2)])
 
 
-def test_all_ops_preserve_orthogonality():
-    rng = random.Random(42)
-    g = construct_g(2)
-    designs = [g, construct_g(3)]
-    for _ in range(200):
-        cod = rng.choice(designs)
-        out, _ = scramble(cod, seed=rng.randrange(10**6), count=1)
+def reference_apply_op(cod, op):
+    """One operation at a time, rebuilding the whole grid: the definition
+    that `apply_ops` folds."""
+    rows = [list(r) for r in cod.cells]
+    if isinstance(op, RowPerm):
+        _check_perm(op.perm, cod.p, "row")
+        rows = [list(cod.cells[i - 1]) for i in op.perm]
+    elif isinstance(op, ColPerm):
+        _check_perm(op.perm, cod.n, "column")
+        rows = [[r[i - 1] for i in op.perm] for r in rows]
+    elif isinstance(op, (ConjVar, NegVar)):
+        flip = Entry.conjugated if isinstance(op, ConjVar) else Entry.negated
+        rows = [[flip(e) if e is not None and e.var == op.var else e for e in r]
+                for r in rows]
+    elif isinstance(op, RenameVar):
+        if op.new != op.old and op.new in cod.variables():
+            raise ValueError(f"rename target {op.new} already in use")
+        rows = [[Entry(op.new, e.sign, e.conj) if e is not None and e.var == op.old
+                 else e for e in r] for r in rows]
+    elif isinstance(op, NegRow):
+        if not 1 <= op.row <= cod.p:
+            raise IndexError(f"row {op.row} out of range")
+        rows[op.row - 1] = [e and e.negated() for e in rows[op.row - 1]]
+    elif isinstance(op, NegCol):
+        if not 1 <= op.col <= cod.n:
+            raise IndexError(f"column {op.col} out of range")
+        for r in rows:
+            r[op.col - 1] = r[op.col - 1] and r[op.col - 1].negated()
+    else:
+        raise TypeError(f"unknown operation {op!r}")
+    return CodMatrix.from_rows(cod.m, rows)
+
+
+def outcome(fn, *args):
+    """fn's result, or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except (IndexError, ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+DESIGNS = {"eq3": make_eq3(), "G_2": construct_g(2), "G_3": construct_g(3)}
+
+
+def op_lists(name):
+    """(name, ops) for DESIGNS[name]: valid ops of every kind, where a rename
+    may hit an id in use, and at most one op that is out of range or not a
+    bijection."""
+    cod = DESIGNS[name]
+    length = cod.variables()[0].length
+    any_id = st.builds(BitVec, st.just(length), st.integers(0, (1 << length) - 1))
+    var = st.sampled_from(cod.variables()) | any_id
+
+    def perm(size):
+        return st.permutations(range(1, size + 1)).map(tuple)
+
+    def bad_perm(size):
+        return st.lists(st.integers(0, size + 1), min_size=size - 1,
+                        max_size=size + 1).map(tuple)
+
+    def bad_index(size):
+        return st.sampled_from([-1, 0, size + 1])
+
+    valid = st.one_of(
+        st.builds(RowPerm, perm(cod.p)), st.builds(ColPerm, perm(cod.n)),
+        st.builds(ConjVar, var), st.builds(NegVar, var), st.builds(RenameVar, var, any_id),
+        st.builds(NegRow, st.integers(1, cod.p)), st.builds(NegCol, st.integers(1, cod.n)),
+    )
+    bad = st.one_of(
+        st.builds(RowPerm, bad_perm(cod.p)), st.builds(ColPerm, bad_perm(cod.n)),
+        st.builds(NegRow, bad_index(cod.p)), st.builds(NegCol, bad_index(cod.n)),
+    )
+    return st.builds(
+        lambda ops, at, op: (name, ops if op is None else ops[:at] + [op] + ops[at:]),
+        st.lists(valid, max_size=12), st.integers(0, 12), st.none() | bad)
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(st.sampled_from(sorted(DESIGNS)).flatmap(op_lists))
+def test_all_ops_preserve_orthogonality(case):
+    name, ops = case
+    cod = DESIGNS[name]
+    out = outcome(apply_ops, cod, ops)
+    assert out == outcome(reduce, reference_apply_op, ops, cod)
+    if isinstance(out, CodMatrix):
         assert verify_symbolic(out).ok
+
+
+def test_unknown_op_is_rejected(eq3):
+    ops = [NegRow(1), "negrow 1"]
+    expected = (TypeError, "unknown operation 'negrow 1'")
+    assert outcome(apply_ops, eq3, ops) == expected == outcome(reduce, reference_apply_op, ops, eq3)
+
+
+def test_apply_ops_and_scramble_build_once(monkeypatch):
+    g = construct_g(3)
+    built = []
+    from_rows = CodMatrix.from_rows.__func__
+    monkeypatch.setattr(CodMatrix, "from_rows",
+                        classmethod(lambda cls, m, rows: built.append(m) or from_rows(cls, m, rows)))
+    _, ops = scramble(g, seed=4, count=50)
+    assert len(built) == 1
+    apply_ops(g, ops)
+    assert len(built) == 2
 
 
 def test_scramble_is_reproducible():
@@ -120,16 +219,23 @@ def test_canonicalize_invariant_under_each_op_kind():
         NegCol(3),
     ]
     for op in ops:
-        assert canonicalize(apply_op(g, op)) == cg, op
+        assert canonicalize(apply_ops(g, [op])) == cg, op
 
 
-def test_canonicalize_scramble_round_trip():
-    for m in (2, 3):
-        g = construct_g(m)
-        cg = canonicalize(g)
-        for seed in range(10):
-            s, _ = scramble(g, seed=seed, count=50)
-            assert canonicalize(s) == cg
+CANONICAL_G = {m: canonicalize(construct_g(m)) for m in (1, 2, 3)}
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 10**6), st.integers(1, 60))
+@example(2, 0, 50)
+@example(3, 9, 50)
+@example(3, 5, 1)
+def test_canonicalize_scramble_round_trip(m, seed, count):
+    g = construct_g(m)
+    s, ops = scramble(g, seed=seed, count=count)
+    assert s == reduce(reference_apply_op, ops, g)
+    assert verify_symbolic(s).ok
+    assert canonicalize(s) == CANONICAL_G[m]
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
@@ -193,7 +299,7 @@ def test_equivalent_known_design_and_standard(eq3):
 
 def test_equivalent_under_column_negation():
     g = construct_g(2)
-    assert equivalent(g, apply_op(g, NegCol(2)))
+    assert equivalent(g, apply_ops(g, [NegCol(2)]))
 
 
 def test_equivalent_parameter_mismatch_is_false(eq3):

@@ -203,7 +203,7 @@ def test_closed_form_solves_the_extension_system(m):
     g = CodMatrix.from_rows(m, [row[:-1] for row in res.design.cells])
     e_2m = BitVec.unit(2 * m, 2 * m)
     phi = {}
-    for r, x in enumerate(res.column, start=1):
+    for r, x in enumerate((row[-1] for row in res.design.cells), start=1):
         alpha = row_id(g, r)
         if not alpha.bit(2 * m):
             assert x is None
@@ -224,7 +224,7 @@ def test_extend_even_m():
     res = extend_g(2)
     assert res.exists
     assert res.solution_count_log2 == 1
-    col = res.column
+    col = tuple(row[-1] for row in res.design.cells)
     a, b, c = bv("1100"), bv("1010"), bv("0110")
     assert col == (
         None,
