@@ -56,10 +56,15 @@ def row_ids_for(m: int) -> list[BitVec]:
 def construct_g(m: int) -> CodMatrix:
     """Build the standard [C(2m,m-1), 2m-1, C(2m-1,m-1)] design."""
     _check_m(m)
+    return _build_g(m, row_ids_for(m))
+
+
+def _build_g(m: int, ids: list[BitVec]) -> CodMatrix:
+    """G with one row per id of `ids`, which must be `row_ids_for(m)`."""
     two_m = 2 * m
     rows = []
     variables: dict[int, BitVec] = {}  # mask -> its one BitVec
-    for alpha in row_ids_for(m):
+    for alpha in ids:
         conj = alpha.mask >> (two_m - 1) == 1
         flip = (1 << two_m) - 1 if conj else 0  # e, for a conjugated row
         row: list[Optional[Entry]] = []
@@ -184,13 +189,14 @@ def extend_g(m: int) -> ExtensionResult:
     _check_m(m)
     if m % 2:
         return ExtensionResult(certificate=InconsistencyCertificate(_odd_walk(m)))
-    g = construct_g(m)
+    ids = row_ids_for(m)
+    g = _build_g(m, ids)
     two_m = 2 * m
     top = 1 << (two_m - 1)  # e_2m: the row is conjugated
     even = sum(1 << (i - 1) for i in range(2, two_m - 1, 2))
     pin = None
     column: list[Optional[Entry]] = []
-    for alpha in row_ids_for(m):  # the rows of g, in order
+    for alpha in ids:  # the rows of g, in order
         if not alpha.mask & top:
             column.append(None)
             continue

@@ -312,3 +312,25 @@ def test_equivalent_invalid_design_raises(eq3):
     bad = CodMatrix.from_rows(2, rows)
     with pytest.raises(InvalidDesignError):
         equivalent(construct_g(2), bad)
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(
+    st.integers(1, 3), st.integers(0, 10**6), st.integers(1, 60), st.integers(0, 10**6)
+)
+@example(4, 3, 40, 17)
+@example(5, 7, 40, 1234)
+def test_equivalent_to_every_scramble_and_no_sign_flip_of_one(m, seed, count, cell):
+    g = construct_g(m)
+    s, _ = scramble(g, seed=seed, count=count)
+    assert equivalent(s, g) and equivalent(g, s)
+    if m == 1:
+        return  # -z is as orthogonal as z
+    # every nonzero cell shares a row with another column, and flipping it
+    # leaves its monomial in that column pair's Gram entry uncancelled
+    nonzero = [(r, c) for r, row in enumerate(s.cells) for c, x in enumerate(row) if x]
+    r, c = nonzero[cell % len(nonzero)]
+    rows = [list(row) for row in s.cells]
+    rows[r][c] = rows[r][c].negated()
+    with pytest.raises(InvalidDesignError):
+        equivalent(CodMatrix.from_rows(m, rows), g)

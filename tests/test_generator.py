@@ -15,6 +15,7 @@ from codlib import (
 )
 from codlib.equivalence import ParityForest
 from codlib.errors import ParameterError
+import codlib.generator as generator
 from codlib.generator import _odd_walk, row_ids_for
 
 
@@ -242,6 +243,22 @@ def test_extend_odd_m_certified_impossible(m):
     assert not res.exists
     assert res.certificate.parity() == 1
     assert check_certificate(m, res.certificate.constraints)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 6])
+def test_extend_lists_the_row_ids_once(monkeypatch, m):
+    # G and the new column share one list; odd m builds neither
+    calls = []
+
+    def counting_row_ids_for(m):
+        calls.append(m)
+        return row_ids_for(m)
+
+    monkeypatch.setattr(generator, "row_ids_for", counting_row_ids_for)
+    res = extend_g(m)
+    assert calls == ([] if m % 2 else [m])
+    if res.exists:
+        assert [row[:-1] for row in res.design.cells] == list(construct_g(m).cells)
 
 
 def test_extend_m4():
