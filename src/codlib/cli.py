@@ -13,6 +13,7 @@ import sys
 from pathlib import Path
 
 from . import analysis, equivalence, fileio, generator
+from .bitvec import BitVec
 from .errors import DesignError, InvalidDesignError, MalformedFileError, ParameterError
 from .model import verify_numeric, verify_symbolic
 
@@ -67,7 +68,7 @@ def _cmd_verify(args) -> int:
     report = verify_symbolic(cod)
     if not report.ok:
         for where, residual in report.failures:
-            print(f"residual at columns {where}: {len(residual)} monomials")
+            print(_residual_line(where, residual))
         print("not orthogonal")
         return EXIT_FALSE
     print("symbolic: ok")
@@ -80,6 +81,25 @@ def _cmd_verify(args) -> int:
         if not ok:
             return EXIT_FALSE
     return EXIT_OK
+
+
+def _residual_line(where: tuple[int, ...], residual: dict) -> str:
+    """`where`'s columns and up to three of its residual monomials.
+
+    A monomial prints as its coefficient and its two factors, each a
+    variable's bit string with `*` when the factor is conjugated.
+    """
+    terms = [
+        f"{coef:+d} " + " ".join(
+            f"{BitVec(length, mask)}{'*' if conj else ''}" for mask, length, conj in mono
+        )
+        for mono, coef in list(residual.items())[:3]
+    ]
+    if len(residual) > 3:
+        terms.append("...")
+    label = "column" if len(where) == 1 else "columns"
+    count = f"{len(residual)} monomial" + ("s" if len(residual) > 1 else "")
+    return f"residual at {label} {','.join(map(str, where))}: {count}: {', '.join(terms)}"
 
 
 def _cmd_canonicalize(args) -> int:

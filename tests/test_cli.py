@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import codlib
 from codlib import construct_g, extend_g
-from codlib.cli import main
+from codlib.cli import _residual_line, main
 from codlib.fileio import certificate_to_json, design_from_json, design_to_json
 from conftest import make_eq3
 
@@ -31,12 +31,26 @@ def test_generate_and_verify(g2_file):
     assert run("verify", str(g2_file), "--numeric", "--trials", "5", "--seed", "3") == 0
 
 
-def test_verify_detects_invalid(tmp_path, g2_file):
+def test_verify_detects_invalid(tmp_path, g2_file, capsys):
     doc = json.loads(g2_file.read_text())
-    doc["entries"][0]["sign"] = "+"  # flip -z3 to +z3
+    doc["entries"][0]["sign"] = "+"  # cell (1,1): -z(0110) becomes +z(0110)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
+    capsys.readouterr()
     assert run("verify", str(bad)) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "residual at columns 1,2: 1 monomial: -2 1010 0110*",
+        "residual at columns 1,3: 1 monomial: +2 1100 0110*",
+        "not orthogonal",
+    ]
+
+
+def test_residual_line_names_at_most_three_monomials():
+    z = [(mask, 2, conj) for mask in (1, 2) for conj in (False, True)]
+    residual = {(z[0], z[1]): 1, (z[0], z[3]): -1, (z[2], z[3]): 2, (z[1], z[2]): -3}
+    assert _residual_line((2,), residual) == (
+        "residual at column 2: 4 monomials: +1 10 10*, -1 10 01*, +2 01 01*, ..."
+    )
 
 
 def test_malformed_file_is_exit_3(tmp_path):

@@ -1,8 +1,12 @@
+import functools
 import random
+from collections import Counter
 from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import codlib.model as model
 from codlib import (
     BitVec,
     CodMatrix,
@@ -17,6 +21,8 @@ from codlib import (
     zero_pattern,
 )
 from codlib.errors import ParameterError
+from codlib.model import VerificationReport, gram_entry
+from conftest import make_eq3
 
 
 def test_zero_patterns_of_known_design(eq3):
@@ -103,6 +109,141 @@ def test_verify_symbolic_catches_bad_diagonal():
     cod = CodMatrix.from_rows(1, [[Entry(v)], [Entry(v)]])
     report = verify_symbolic(cod)
     assert not report.ok
+
+
+def reference_verify_symbolic(cod):
+    """The column-pair check: expand every Gram entry with `gram_entry`."""
+    expected_diag = {
+        ((v.mask, v.length, False), (v.mask, v.length, True)): 1
+        for v in cod.variables()
+    }
+    support = [
+        [r for r, row in enumerate(cod.cells) if row[c] is not None]
+        for c in range(cod.n)
+    ]
+    failures = []
+    for a in range(cod.n):
+        in_a = set(support[a])
+        for b in range(a, cod.n):
+            shared = [r for r in support[b] if r in in_a]
+            acc = gram_entry(cod.cells, a, b, shared)
+            if a == b:
+                residual = Counter(acc)
+                residual.subtract(expected_diag)
+                residual = {k: v for k, v in residual.items() if v}
+                if residual:
+                    failures.append(((a + 1,), residual))
+            elif acc:
+                failures.append(((a + 1, b + 1), acc))
+    return VerificationReport(ok=not failures, failures=failures)
+
+
+def assert_matches_reference(cod):
+    """Same verdict, positions, residuals and insertion order as the reference."""
+    got, want = verify_symbolic(cod), reference_verify_symbolic(cod)
+    items = lambda report: [(where, list(res.items())) for where, res in report.failures]
+    assert got.ok == want.ok
+    assert items(got) == items(want)
+    return got
+
+
+@functools.cache
+def mutation_bases():
+    bases = []
+    for m in range(1, 6):
+        g = construct_g(m)
+        bases += [g, scramble(g, seed=m, count=40)[0]]
+    return bases + [extend_g(m).design for m in (2, 4)]
+
+
+MUTATIONS = ("negate", "conjugate", "other-variable", "swap", "flip-mask-bit", "zero")
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(data=st.data())
+def test_verify_symbolic_matches_the_column_pair_reference(data):
+    cod = data.draw(st.sampled_from(mutation_bases()))
+    rows = [list(row) for row in cod.cells]
+    nonzero = st.sampled_from(
+        [(r, c) for r in range(cod.p) for c in range(cod.n) if rows[r][c] is not None]
+    )
+    anywhere = st.tuples(st.integers(0, cod.p - 1), st.integers(0, cod.n - 1))
+    for kind in data.draw(st.lists(st.sampled_from(MUTATIONS), min_size=1, max_size=3)):
+        r, c = data.draw(nonzero)
+        e = rows[r][c]
+        if kind == "swap":
+            r2, c2 = data.draw(anywhere)
+            rows[r][c], rows[r2][c2] = rows[r2][c2], e
+        elif e is None:  # zeroed or swapped away by an earlier mutation
+            continue
+        elif kind == "negate":
+            rows[r][c] = e.negated()
+        elif kind == "conjugate":
+            rows[r][c] = e.conjugated()
+        elif kind == "other-variable":
+            r2, c2 = data.draw(nonzero)
+            if rows[r2][c2] is not None:
+                rows[r][c] = Entry(rows[r2][c2].var, e.sign, e.conj)
+        elif kind == "flip-mask-bit":
+            bit = 1 << data.draw(st.integers(0, e.var.length - 1))
+            rows[r][c] = Entry(BitVec(e.var.length, e.var.mask ^ bit), e.sign, e.conj)
+        else:
+            rows[r][c] = None
+    assert_matches_reference(CodMatrix.from_rows(cod.m, rows))
+
+
+def _eq3_edited(edit):
+    rows = [list(r) for r in make_eq3().cells]
+    edit(rows)
+    return CodMatrix.from_rows(2, rows)
+
+
+Z1, Z2, Z3 = (BitVec.unit(4, i) for i in (1, 2, 3))
+
+EDGE_CASES = {
+    # a row holding one variable twice: its monomial z* z has no partner row
+    "variable-twice-in-a-row": (
+        CodMatrix.from_rows(1, [[Entry(Z1), Entry(Z1)], [Entry(Z2), Entry(Z2)]]), False),
+    "variable-twice-in-a-row-opposite-flags": (
+        CodMatrix.from_rows(1, [[Entry(Z1), Entry(Z1, -1, True)],
+                                [Entry(Z2, 1, True), Entry(Z2)]]), False),
+    "variable-missing-from-a-column": (
+        _eq3_edited(lambda rows: rows[1].__setitem__(0, None)), False),
+    "column-holds-a-variable-twice": (
+        _eq3_edited(lambda rows: rows.append([Entry(Z1), None, None])), False),
+    "k-0-all-zero": (CodMatrix.from_rows(2, [[None] * 3] * 4), True),
+    "n-1": (CodMatrix.from_rows(1, [[Entry(Z1)], [None], [Entry(Z2, -1, True)]]), True),
+    "n-1-variable-twice": (CodMatrix.from_rows(1, [[Entry(Z1)], [Entry(Z1, -1)]]), False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_CASES))
+def test_verify_symbolic_edge_cases_match_the_reference(name):
+    cod, ok = EDGE_CASES[name]
+    assert assert_matches_reference(cod).ok == ok
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+def test_verify_symbolic_expands_only_the_failing_entries(monkeypatch, m):
+    calls = []
+
+    def counting_gram_entry(cells, a, b, rows):
+        calls.append((a + 1, b + 1))
+        return gram_entry(cells, a, b, rows)
+
+    monkeypatch.setattr(model, "gram_entry", counting_gram_entry)
+    g = construct_g(m)
+    assert verify_symbolic(g).ok
+    if m % 2 == 0:
+        assert verify_symbolic(extend_g(m).design).ok
+    assert calls == []
+    rows = [list(row) for row in g.cells]
+    r = random.Random(m).randrange(g.p)
+    c = next(c for c, e in enumerate(rows[r]) if e is not None)
+    rows[r][c] = rows[r][c].negated()
+    report = verify_symbolic(CodMatrix.from_rows(m, rows))
+    assert calls == [where for where, _ in report.failures]
+    assert len(calls) == sum(e is not None for e in rows[r]) - 1
 
 
 def test_verify_numeric(eq3):
