@@ -9,7 +9,7 @@ from typing import Optional
 
 from .bitvec import BitVec
 from .errors import DesignError, ParameterError
-from .model import CodMatrix, Entry, zero_pattern
+from .model import CodMatrix, Entry
 
 
 @dataclass
@@ -24,24 +24,28 @@ class BjForm:
     block: list[list[Optional[Entry]]]  # top rows x conjugate-instance columns
 
 
+def _split(cod: CodMatrix, var_id: int) -> tuple[list[int], list[int]]:
+    """The positions r * n + c of a variable's plain and conjugate instances."""
+    positions = cod._instance_index[var_id]
+    codes = cod.codes
+    return ([pos for pos in positions if not codes[pos] & 2],
+            [pos for pos in positions if codes[pos] & 2])
+
+
 def extract_bj(cod: CodMatrix, var: BitVec) -> BjForm:
     """Partition the rows containing `var` by conjugation of its instance."""
-    instances = cod.instances(var)
-    if not instances:
+    top, bottom = _split(cod, cod._var_id(var))
+    if not top and not bottom:
         raise DesignError(f"variable {var} does not appear")
-    top = [(r, c) for r, c, e in instances if not e.conj]
-    bottom = [(r, c) for r, c, e in instances if e.conj]
-    bottom_cols = sorted(c for _, c in bottom)
-    block = [
-        [cod.entry(r, c) for c in bottom_cols] for r, _ in sorted(top)
-    ]
+    n = cod.n
+    bottom_cols = sorted(pos % n for pos in bottom)
     return BjForm(
         var=var,
         n1=len(top),
         n2=len(bottom),
-        top_rows=sorted(r for r, _ in top),
-        bottom_rows=sorted(r for r, _ in bottom),
-        block=block,
+        top_rows=[pos // n + 1 for pos in top],
+        bottom_rows=[pos // n + 1 for pos in bottom],
+        block=[[cod._entry(cod.codes[pos - pos % n + c]) for c in bottom_cols] for pos in top],
     )
 
 
@@ -77,7 +81,7 @@ class BoundsReport:
     n: int
     m: int
     max_rate: Fraction
-    min_delay: Optional[int]
+    min_delay: int
 
 
 def max_rate(n: int) -> Fraction:
@@ -90,8 +94,8 @@ def max_rate(n: int) -> Fraction:
 
 def min_delay(n: int) -> int:
     """Tight delay bound at maximal rate; doubled when n = 2 (mod 4)."""
-    if n < 2:
-        raise ParameterError(f"n must be >= 2, got {n}")
+    if n < 1:
+        raise ParameterError(f"n must be >= 1, got {n}")
     m = (n + 1) // 2
     base = comb(2 * m, m - 1)
     return 2 * base if n % 4 == 2 else base
@@ -105,7 +109,7 @@ def bounds(n: int) -> BoundsReport:
         raise ParameterError(f"n must be <= {BOUNDS_N_MAX}, got {n}")
     m = (n + 1) // 2
     return BoundsReport(
-        n=n, m=m, max_rate=max_rate(n), min_delay=min_delay(n) if n >= 2 else None
+        n=n, m=m, max_rate=max_rate(n), min_delay=min_delay(n)
     )
 
 
@@ -125,33 +129,34 @@ class StructuralReport:
         return all(c.ok for c in self.checks)
 
 
-def _check_pattern_relations(cod: CodMatrix, patterns: list[int]) -> CheckResult:
+def _check_pattern_relations(cod: CodMatrix) -> CheckResult:
     """Same-variable instance pairs: equal conjugation means the two zero
     patterns differ exactly at the instance columns; opposite conjugation
     means they agree exactly there."""
+    n, codes, patterns = cod.n, cod.codes, cod.patterns
+    full = (1 << n) - 1
     witnesses = []
-    for var in cod.variables():
-        inst = cod.instances(var)
-        for a in range(len(inst)):
-            ra, ca, ea = inst[a]
-            for rb, cb, eb in inst[a + 1:]:
-                got = patterns[ra - 1] ^ patterns[rb - 1]
-                if ea.conj != eb.conj:
-                    got ^= (1 << cod.n) - 1
-                if got != 1 << (ca - 1) | 1 << (cb - 1):
-                    cols = [i for i in range(1, cod.n + 1) if got >> (i - 1) & 1]
-                    witnesses.append((var, (ra, ca), (rb, cb), cols))
+    for var, positions in zip(cod.ids, cod._instance_index[1:]):
+        inst = [(*divmod(pos, n), codes[pos] & 2) for pos in positions]
+        for a, (ra, ca, xa) in enumerate(inst, 1):
+            for rb, cb, xb in inst[a:]:
+                got = patterns[ra] ^ patterns[rb]
+                if xa != xb:
+                    got ^= full
+                if got != 1 << ca | 1 << cb:
+                    cols = [i for i in range(1, n + 1) if got >> (i - 1) & 1]
+                    witnesses.append((var, (ra + 1, ca + 1), (rb + 1, cb + 1), cols))
     return CheckResult("zero_pattern_relations", not witnesses, witnesses)
 
 
-def _check_pattern_completeness(cod: CodMatrix, patterns: list[int]) -> CheckResult:
+def _check_pattern_completeness(cod: CodMatrix) -> CheckResult:
     """Minimal-delay designs carry every admissible zero pattern once:
     weights m and m+1 for n = 2m-1, weight m+1 for n = 2m."""
     m = cod.m
     admissible = {m, m + 1} if cod.n == 2 * m - 1 else {m + 1}  # n = 2m
     witnesses = []
     seen = set()
-    for r, pat in enumerate(patterns, start=1):
+    for r, pat in enumerate(cod.patterns, start=1):
         if pat.bit_count() not in admissible:
             witnesses.append(("bad-weight", r, str(BitVec(cod.n, pat))))
         elif pat in seen:
@@ -167,30 +172,28 @@ def _check_block_structure(cod: CodMatrix) -> CheckResult:
     """Maximal-rate shape: each variable splits (m,m-1)/(m-1,m) across
     plain and conjugate instances ((m,m) for n = 2m), and the coupling
     block has no zero entries."""
-    m = cod.m
-    if cod.n == 2 * m - 1:
+    m, n, patterns = cod.m, cod.n, cod.patterns
+    if n == 2 * m - 1:
         shapes = {(m, m - 1), (m - 1, m)}
     else:
         shapes = {(m, m)}
     witnesses = []
-    for var in cod.variables():
-        bj = extract_bj(cod, var)
-        if (bj.n1, bj.n2) not in shapes:
-            witnesses.append(("shape", var, (bj.n1, bj.n2)))
+    for v, var in enumerate(cod.ids, 1):
+        top, bottom = _split(cod, v)
+        if (len(top), len(bottom)) not in shapes:
+            witnesses.append(("shape", var, (len(top), len(bottom))))
             continue
-        for row in bj.block:
-            if any(e is None for e in row):
-                witnesses.append(("zero-in-coupling-block", var))
-                break
+        block = sum({1 << pos % n for pos in bottom})  # the conjugate-instance columns
+        if any(patterns[pos // n] & block != block for pos in top):
+            witnesses.append(("zero-in-coupling-block", var))
     return CheckResult("block_structure", not witnesses, witnesses)
 
 
 def structural_report(cod: CodMatrix) -> StructuralReport:
-    patterns = [zero_pattern(cod, r).mask for r in range(1, cod.p + 1)]
     return StructuralReport(
         checks=[
-            _check_pattern_relations(cod, patterns),
-            _check_pattern_completeness(cod, patterns),
+            _check_pattern_relations(cod),
+            _check_pattern_completeness(cod),
             _check_block_structure(cod),
         ]
     )

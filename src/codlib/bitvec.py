@@ -7,7 +7,6 @@ All indexing is 1-based; the text form writes bit 1 leftmost, e.g. "1101".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
 
 
 @dataclass(frozen=True)
@@ -26,10 +25,6 @@ class BitVec:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, length: int) -> "BitVec":
-        return cls(length, 0)
-
-    @classmethod
     def unit(cls, length: int, i: int) -> "BitVec":
         """e_i: the vector with a single 1 at position i."""
         if not 1 <= i <= length:
@@ -40,16 +35,6 @@ class BitVec:
     def ones(cls, length: int) -> "BitVec":
         """e: the all-ones vector."""
         return cls(length, (1 << length) - 1)
-
-    @classmethod
-    def from_bits(cls, bits: Iterable[int]) -> "BitVec":
-        bits = list(bits)
-        mask = 0
-        for i, b in enumerate(bits):
-            if b not in (0, 1):
-                raise ValueError(f"bit {i + 1} is {b!r}, expected 0 or 1")
-            mask |= b << i
-        return cls(len(bits), mask)
 
     @classmethod
     def from_string(cls, s: str) -> "BitVec":
@@ -87,9 +72,6 @@ class BitVec:
                 f"length mismatch: {self.length} vs {other.length}"
             )
         return BitVec(self.length, self.mask ^ other.mask)
-
-    def __iter__(self) -> Iterator[int]:
-        return (self.bit(i) for i in range(1, self.length + 1))
 
     def __str__(self) -> str:
         return format(self.mask, f"0{self.length}b")[::-1]

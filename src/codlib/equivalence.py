@@ -27,13 +27,15 @@ from __future__ import annotations
 
 import bisect
 import random
+from array import array
 from dataclasses import dataclass
+from itertools import compress
 from math import comb
 from typing import Optional, Sequence, Union
 
 from .bitvec import BitVec
 from .errors import InvalidDesignError, ParameterError
-from .model import CodMatrix, Entry, verify_symbolic
+from .model import CodMatrix, id_order, verify_symbolic
 
 
 @dataclass(frozen=True)
@@ -84,7 +86,7 @@ def apply_ops(cod: CodMatrix, ops: Sequence[EquivOp]) -> CodMatrix:
     """Apply equivalence operations in order; (p, n, k) are preserved.
 
     The ops only update three small tables, which are read once to build the
-    output; a cell that no op negates, conjugates or renames keeps its Entry.
+    output codes.
     """
     rows = [[r, False] for r in range(cod.p)]  # [input row, negated]
     cols = [[c, False] for c in range(cod.n)]
@@ -114,18 +116,25 @@ def apply_ops(cod: CodMatrix, ops: Sequence[EquivOp]) -> CodMatrix:
             cols[op.col - 1][1] ^= True
         else:
             raise TypeError(f"unknown operation {op!r}")
-    current = {old: (var, neg, conj) for var, (old, neg, conj) in ids.items()}
-
-    def cell(e: Optional[Entry], neg: bool) -> Optional[Entry]:
-        if e is None:
-            return None
-        var, var_neg, conj = current[e.var]
-        if neg ^ var_neg or conj or var != e.var:
-            return Entry(var, -e.sign if neg ^ var_neg else e.sign, e.conj ^ conj)
-        return e
-
-    grid = [[cell(cod.cells[r][c], rn ^ cn) for c, cn in cols] for r, rn in rows]
-    return CodMatrix.from_rows(cod.m, grid)
+    current = {old: (var, conj << 1 | neg) for var, (old, neg, conj) in ids.items()}
+    out_ids = []
+    flip = [0] * 4  # flip[code]: the bits its variable's ops flip
+    for var in cod.ids:
+        new, bits = current[var]
+        out_ids.append(new)
+        flip += [bits] * 4
+    # tables[t][code]: the output code of a nonzero cell whose row and
+    # column negations add up to t
+    plain = [code and code ^ flip[code] for code in range(len(flip))]
+    tables = (plain, [code and code ^ 1 for code in plain])
+    by_row = [[tables[cn] for _, cn in cols], [tables[not cn] for _, cn in cols]]
+    picks = [c for c, _ in cols]
+    src, n = cod.codes, cod.n
+    codes = array("q")
+    for r, rn in rows:
+        base = r * n
+        codes.extend(map(list.__getitem__, by_row[rn], [src[base + c] for c in picks]))
+    return CodMatrix._from_codes(cod.p, n, codes, out_ids)
 
 
 def scramble(
@@ -138,7 +147,7 @@ def scramble(
     if cod.k == 0:
         raise ParameterError("cannot scramble a design without variables")
     rng = random.Random(seed)
-    ids = list(cod.variables())  # ascending by mask; only renames change it
+    ids = list(cod.variables())  # ascending by (mask, length); only renames change it
     ops: list[EquivOp] = []
     for _ in range(count):
         kind = rng.randrange(7)
@@ -152,7 +161,7 @@ def scramble(
             op = NegVar(rng.choice(ids))
         elif kind == 4:
             length = ids[0].length
-            used = {v.mask for v in ids}
+            used = {v.mask for v in ids if v.length == length}
             if all(mask in used for mask in range(1 << length)):
                 raise ParameterError(
                     f"cannot rename: every variable id of length {length} is in use"
@@ -163,7 +172,7 @@ def scramble(
                     break
             op = RenameVar(rng.choice(ids), BitVec(length, mask))
             ids.remove(op.old)
-            bisect.insort(ids, op.new, key=lambda v: v.mask)
+            bisect.insort(ids, op.new, key=id_order)
         elif kind == 5:
             op = NegRow(rng.randrange(1, cod.p + 1))
         else:
@@ -227,66 +236,74 @@ def canonicalize(cod: CodMatrix) -> CodMatrix:
     m = _family_m(cod.p, cod.n, cod.k)
     if not verify_symbolic(cod).ok:
         raise InvalidDesignError("input fails symbolic orthogonality")
+    p, n, k, codes = cod.p, cod.n, cod.k, cod.codes
     e = (1 << (2 * m)) - 1
+    bits = [1 << c for c in range(n)]
 
     # Rows: separation conjugates exactly the rows with m nonzero cells, so
     # the row id is the zero pattern plus that flag as bit 2m.
+    # Variables: a variable separates when all of its instances agree, or all
+    # disagree, with their row's flag (the latter get flipped); an instance in
+    # row r, column c forces the id ids[r] ^ e_c, ^ e if row r is conjugated.
     conj: list[bool] = []
     ids: list[int] = []
-    for row in cod.cells:
-        pattern = sum(1 << c for c, x in enumerate(row) if x is not None)
+    agree = [0] * (k + 1)  # per var_id: bit 0 if an instance agrees, bit 1 if one disagrees
+    forced = [-1] * (k + 1)  # per var_id: the id its first instance forces
+    clash = [False] * (k + 1)  # per var_id: a later instance forces another id
+    for base, pattern in zip(range(0, p * n, n), cod.patterns):
         weight = pattern.bit_count()
         if weight not in (m, m + 1):
             raise InvalidDesignError("row nonzero counts are not m or m+1")
         conj.append(weight == m)
-        ids.append(pattern | conj[-1] << (2 * m - 1))
-
-    # Variables: a variable separates when all of its instances agree, or all
-    # disagree, with their row's flag (the latter get flipped); an instance in
-    # row r, column c forces the id ids[r] ^ e_c, ^ e if row r is conjugated.
-    forced: dict[BitVec, set[int]] = {}
-    for var in cod.variables():
-        instances = cod.instances(var)
-        if len({conj[r - 1] == x.conj for r, _, x in instances}) > 1:
-            raise InvalidDesignError(f"variable {var} cannot be conjugation separated")
-        forced[var] = {
-            ids[r - 1] ^ (1 << (c - 1)) ^ (e if conj[r - 1] else 0)
-            for r, c, _ in instances
-        }
-    if len(set(ids)) != cod.p:
+        ids.append(pattern | conj[-1] << n)
+        flip = ids[-1] ^ e if conj[-1] else ids[-1]
+        row = codes[base:base + n]
+        for c in compress(range(n), row):
+            x = row[c]
+            v = x >> 2
+            agree[v] |= 1 << (conj[-1] ^ (x >> 1 & 1))
+            if forced[v] < 0:
+                forced[v] = flip ^ bits[c]
+            elif forced[v] != flip ^ bits[c]:
+                clash[v] = True
+    for v in range(1, k + 1):
+        if agree[v] == 3:
+            raise InvalidDesignError(
+                f"variable {cod.ids[v - 1]} cannot be conjugation separated"
+            )
+    if len(set(ids)) != p:
         raise InvalidDesignError("row identifiers are not distinct weight-(m+1)")
-    rename: dict[BitVec, BitVec] = {}
-    for var, targets in forced.items():
-        if len(targets) != 1:
-            raise InvalidDesignError(f"instances of {var} disagree on the forced id")
-        rename[var] = BitVec(2 * m, targets.pop())
-    if len(set(rename.values())) != len(rename):
+    for v in range(1, k + 1):
+        if clash[v]:
+            raise InvalidDesignError(
+                f"instances of {cod.ids[v - 1]} disagree on the forced id"
+            )
+    renamed = sorted(forced[1:])
+    if len(set(renamed)) != k:
         raise InvalidDesignError("forced renaming is not a bijection")
 
-    # Signs: rows are forest nodes 0..p-1 and variables p..p+k-1, one edge
-    # per nonzero cell.  Row and variable negations span the cut space of this
-    # graph.  Joining the cells in reading order (rows by id, cells left to
-    # right) builds the greedy spanning forest: a cell is a forest edge exactly
-    # when some combination of negations changes it and no earlier cell.  So
-    # the coset element that is + on every forest edge is the least one.
-    node = {var: cod.p + i for i, var in enumerate(forced)}
-    forest = ParityForest(cod.p + len(node))
-    order = sorted(range(cod.p), key=ids.__getitem__)
+    # Signs: rows are forest nodes 0..p-1 and var_id v is node p+v-1, one
+    # edge per nonzero cell.  Row and variable negations span the cut space
+    # of this graph.  Joining the cells in reading order (rows by id, cells
+    # left to right) builds the greedy spanning forest: a cell is a forest
+    # edge exactly when some combination of negations changes it and no
+    # earlier cell.  So the coset element that is + on every forest edge is
+    # the least one.
+    forest = ParityForest(p + k)
+    order = sorted(range(p), key=ids.__getitem__)
     for r in order:
-        for x in cod.cells[r]:
-            if x is not None:
-                forest.join(r, node[x.var], x.sign < 0)
-    flip = {var: forest.find(i)[1] for var, i in node.items()}
-    rows = []
+        for x in filter(None, codes[r * n:r * n + n]):
+            forest.join(r, p - 1 + (x >> 2), x & 1)
+    # out[v]: the renamed var_id << 2 and the variable's negation
+    new_id = {mask: i << 2 for i, mask in enumerate(renamed, 1)}
+    out = [0] + [new_id[forced[v]] | forest.find(p - 1 + v)[1] for v in range(1, k + 1)]
+    result = array("q")
     for r in order:
-        row: list = [None] * cod.n
-        row_flip = forest.find(r)[1]
-        for c, x in enumerate(cod.cells[r]):
-            if x is not None:
-                sign = -x.sign if row_flip ^ flip[x.var] else x.sign
-                row[c] = Entry(rename[x.var], sign, conj[r])
-        rows.append(row)
-    return CodMatrix.from_rows(m, rows)
+        row_bits = conj[r] << 1 | forest.find(r)[1]
+        result.extend([
+            x and out[x >> 2] ^ (x & 1) ^ row_bits for x in codes[r * n:r * n + n]
+        ])
+    return CodMatrix(p, n, result, tuple(BitVec(2 * m, mask) for mask in renamed))
 
 
 def equivalent(a: CodMatrix, b: CodMatrix) -> bool:

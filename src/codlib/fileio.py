@@ -4,13 +4,16 @@ The interchange format is JSON with a version field and one entry object
 per nonzero cell, sorted by (row, col).  Output is deterministic: no
 timestamps, stable key order.  The design writer emits the bytes of
 json.dumps(doc, indent=1, sort_keys=True) directly, from one template per
-entry; the loader builds each distinct (var, sign, conj) entry once.
+cell code; the loader writes cell codes and parses each distinct variable
+text once.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from array import array
+from itertools import compress
 from typing import Sequence
 
 from .bitvec import BitVec
@@ -26,7 +29,7 @@ from .equivalence import (
 )
 from .errors import MalformedFileError
 from .generator import M_MAX, Constraint, InconsistencyCertificate
-from .model import CodMatrix, Entry
+from .model import CodMatrix
 
 DESIGN_FORMAT = "cod-design"
 CERT_FORMAT = "cod-certificate"
@@ -34,9 +37,10 @@ FORMAT_VERSION = 1
 
 
 # One nonzero cell and the document around the cells, exactly as
-# json.dumps(doc, indent=1, sort_keys=True) lays them out.
+# json.dumps(doc, indent=1, sort_keys=True) lays them out.  The column and
+# row are filled in last, so each cell code's template is built once.
 _ENTRY = (
-    '  {\n   "col": %d,\n   "conj": %s,\n   "row": %d,\n'
+    '  {\n   "col": %s,\n   "conj": %s,\n   "row": %s,\n'
     '   "sign": "%s",\n   "var": "%s"\n  }'
 )
 _DESIGN = (
@@ -46,15 +50,22 @@ _DESIGN = (
 
 
 def design_to_json(cod: CodMatrix) -> str:
-    entries = ",\n".join(
-        _ENTRY % (c, "true" if e.conj else "false", r, "+" if e.sign > 0 else "-", e.var)
-        for r, row in enumerate(cod.cells, start=1)
-        for c, e in enumerate(row, start=1)
-        if e is not None
-    )
-    entries = f"[\n{entries}\n ]" if entries else "[]"
+    n, codes, names = cod.n, cod.codes, list(map(str, cod.ids))
+    templates: dict[int, str] = {}
+    entries = []
+    for pos in compress(range(len(codes)), codes):
+        code = codes[pos]
+        t = templates.get(code)
+        if t is None:
+            t = templates[code] = _ENTRY % (
+                "%d", "true" if code & 2 else "false", "%d",
+                "-" if code & 1 else "+", names[(code >> 2) - 1],
+            )
+        r, c = divmod(pos, n)
+        entries.append(t % (c + 1, r + 1))
+    text = "[\n" + ",\n".join(entries) + "\n ]" if entries else "[]"
     return _DESIGN % (
-        entries, DESIGN_FORMAT, cod.k, cod.m, cod.n, cod.p, FORMAT_VERSION
+        text, DESIGN_FORMAT, cod.k, cod.m, cod.n, cod.p, FORMAT_VERSION
     )
 
 
@@ -116,13 +127,15 @@ def design_from_json(text: str) -> CodMatrix:
     k = _int(doc, "k", "document", 0)
     if m != (n + 1) // 2:
         raise MalformedFileError(f"m={m} but n={n} needs m={(n + 1) // 2}", "m")
-    rows: list[list] = [[None] * n for _ in range(p)]
-    built: dict[tuple, Entry] = {}  # (var text, sign, conj) -> its Entry
+    codes = array("q", bytes(8 * p * n))
+    table: list[BitVec] = []  # var_id - 1 -> variable, in order of first use
+    var_ids: dict[str, int] = {}  # var text -> var_id << 2
     for idx, item in enumerate(_list(doc, "entries")):
         where = f"entries[{idx}]"
         r = _int(item, "row", where, 1, p)
         c = _int(item, "col", where, 1, n)
-        if rows[r - 1][c - 1] is not None:
+        pos = (r - 1) * n + c - 1
+        if codes[pos]:
             raise MalformedFileError(f"duplicate cell ({r},{c})", where)
         sign = _require(item, "sign", where)
         if sign not in ("+", "-"):
@@ -130,18 +143,17 @@ def design_from_json(text: str) -> CodMatrix:
         conj = _require(item, "conj", where)
         if not isinstance(conj, bool):
             raise MalformedFileError(f"conj must be boolean, got {conj!r}", where)
-        key = (item.get("var"), sign, conj)
-        entry = built.get(key) if isinstance(key[0], str) else None
-        if entry is None:  # cached only once _bitvec has accepted the text
-            var = _bitvec(item, "var", where)
-            entry = built[key] = Entry(var, 1 if sign == "+" else -1, conj)
-        rows[r - 1][c - 1] = entry
-    cod = CodMatrix.from_rows(m, rows)
-    if cod.k != k:
+        text = item.get("var")
+        v = var_ids.get(text) if isinstance(text, str) else None
+        if v is None:  # a text is known only once _bitvec has accepted it
+            table.append(_bitvec(item, "var", where))
+            v = var_ids[text] = len(table) << 2
+        codes[pos] = v | conj << 1 | (sign == "-")
+    if len(table) != k:
         raise MalformedFileError(
-            f"declared k={k} but {cod.k} distinct variables appear", "k"
+            f"declared k={k} but {len(table)} distinct variables appear", "k"
         )
-    return cod
+    return CodMatrix._from_codes(p, n, codes, table)
 
 
 # -- certificates ----------------------------------------------------------
@@ -229,22 +241,25 @@ def ops_from_text(text: str) -> list[EquivOp]:
 # -- human-readable exports ------------------------------------------------
 
 
-def _cell_text(e, names, star: str = "*") -> str:
-    if e is None:
+def _cell_text(code: int, name: str, star: str) -> str:
+    """A cell as text: 0, or the sign, `name` % var_id and the star if conjugated."""
+    if not code:
         return "0"
-    sign = "-" if e.sign < 0 else ""
-    return f"{sign}{names[e.var]}{star if e.conj else ''}"
+    return ("-" if code & 1 else "") + name % (code >> 2) + (star if code & 2 else "")
+
+
+def _rows_text(cod: CodMatrix, name: str, star: str, sep: str) -> list[str]:
+    n, codes = cod.n, cod.codes
+    return [
+        sep.join(_cell_text(code, name, star) for code in codes[i:i + n])
+        for i in range(0, len(codes), n)
+    ]
 
 
 def design_to_csv(cod: CodMatrix) -> str:
-    names = {v: f"z{i}" for i, v in enumerate(cod.variables(), start=1)}
-    lines = (",".join(_cell_text(e, names) for e in row) for row in cod.cells)
-    return "".join(line + "\n" for line in lines)
+    return "".join(line + "\n" for line in _rows_text(cod, "z%d", "*", ","))
 
 
 def design_to_latex(cod: CodMatrix) -> str:
-    names = {v: f"z_{{{i}}}" for i, v in enumerate(cod.variables(), start=1)}
-    body = " \\\\\n".join(
-        " & ".join(_cell_text(e, names, star="^*") for e in row) for row in cod.cells
-    )
+    body = " \\\\\n".join(_rows_text(cod, "z_{%d}", "^*", " & "))
     return "\\begin{pmatrix}\n" + body + "\n\\end{pmatrix}\n"

@@ -12,13 +12,14 @@ the certificate that no such column exists.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
 from .bitvec import BitVec
 from .errors import ParameterError
-from .model import CodMatrix, Entry
+from .model import CodMatrix
 
 M_MAX = 8  # desk-scale guard; p = C(2m, m-1) grows fast
 
@@ -32,10 +33,15 @@ def theta(alpha: BitVec, i: int) -> int:
         raise IndexError(f"column {i} out of range 1..{two_m - 1}")
     if not a >> (i - 1) & 1:
         raise ValueError(f"theta undefined: bit {i} of {alpha} is 0")
-    w = (a >> (i - 1)).bit_count()  # bits i..2m
-    if i % 2 == 0:
-        return (w + i // 2) % 2
-    return (w + (i - 1) // 2 + (a >> (two_m - 1))) % 2
+    return _theta(a, two_m, i - 1)
+
+
+def _theta(a: int, two_m: int, c: int) -> int:
+    """theta of the row with mask a at the 0-based column c."""
+    w = (a >> c).bit_count()  # bits c+1..2m
+    if c % 2:
+        return (w + (c + 1) // 2) % 2
+    return (w + c // 2 + (a >> (two_m - 1))) % 2
 
 
 def _check_m(m: int) -> None:
@@ -59,25 +65,35 @@ def construct_g(m: int) -> CodMatrix:
     return _build_g(m, row_ids_for(m))
 
 
-def _build_g(m: int, ids: list[BitVec]) -> CodMatrix:
-    """G with one row per id of `ids`, which must be `row_ids_for(m)`."""
-    two_m = 2 * m
-    rows = []
-    variables: dict[int, BitVec] = {}  # mask -> its one BitVec
+def _build_g(m: int, ids: list[BitVec], extend: bool = False) -> CodMatrix:
+    """G with one row per id of `ids`, which must be `row_ids_for(m)`; with
+    `extend`, also the 2m-th column that `extend_g` derives for even m."""
+    two_m, n = 2 * m, 2 * m - 1
+    e = (1 << two_m) - 1
+    top = 1 << n  # e_2m: the row is conjugated
+    even = sum(1 << c for c in range(1, n, 2))  # the even columns 2, 4, ..., 2m-2
+    # the variables are the weight-m masks below e_2m
+    masks = sorted(sum(1 << c for c in pos) for pos in combinations(range(n), m))
+    var_ids = {v: i << 2 for i, v in enumerate(masks, 1)}
+    codes = array("q")
+    pin = None
     for alpha in ids:
-        conj = alpha.mask >> (two_m - 1) == 1
-        flip = (1 << two_m) - 1 if conj else 0  # e, for a conjugated row
-        row: list[Optional[Entry]] = []
-        for i in range(1, two_m):
-            if not alpha.mask >> (i - 1) & 1:
-                row.append(None)
-                continue
-            v = alpha.mask ^ 1 << (i - 1) ^ flip
-            var = variables.get(v) or variables.setdefault(v, BitVec(two_m, v))
-            sign = -1 if theta(alpha, i) else 1
-            row.append(Entry(var=var, sign=sign, conj=conj))
-        rows.append(row)
-    return CodMatrix.from_rows(m, rows)
+        a = alpha.mask
+        conj = a >> n
+        flip = e if conj else 0
+        codes.extend([
+            var_ids[a ^ 1 << c ^ flip] | conj << 1 | _theta(a, two_m, c) if a >> c & 1 else 0
+            for c in range(n)
+        ])
+        if extend:
+            if conj:
+                phi = (a & even).bit_count() % 2
+                if pin is None:
+                    pin = phi
+                codes.append(var_ids[a ^ top] | phi ^ pin)
+            else:
+                codes.append(0)
+    return CodMatrix(len(ids), n + 1 if extend else n, codes, tuple(BitVec(two_m, v) for v in masks))
 
 
 # -- the extension column --------------------------------------------------
@@ -189,21 +205,4 @@ def extend_g(m: int) -> ExtensionResult:
     _check_m(m)
     if m % 2:
         return ExtensionResult(certificate=InconsistencyCertificate(_odd_walk(m)))
-    ids = row_ids_for(m)
-    g = _build_g(m, ids)
-    two_m = 2 * m
-    top = 1 << (two_m - 1)  # e_2m: the row is conjugated
-    even = sum(1 << (i - 1) for i in range(2, two_m - 1, 2))
-    pin = None
-    column: list[Optional[Entry]] = []
-    for alpha in ids:  # the rows of g, in order
-        if not alpha.mask & top:
-            column.append(None)
-            continue
-        phi = (alpha.mask & even).bit_count() % 2
-        if pin is None:
-            pin = phi
-        sign = -1 if phi ^ pin else 1
-        column.append(Entry(var=BitVec(two_m, alpha.mask ^ top), sign=sign, conj=False))
-    rows = [list(row) + [x] for row, x in zip(g.cells, column)]
-    return ExtensionResult(design=CodMatrix.from_rows(m, rows), solution_count_log2=1)
+    return ExtensionResult(design=_build_g(m, row_ids_for(m), extend=True), solution_count_log2=1)

@@ -84,7 +84,7 @@ def test_criterion_4_extension_odd_m():
     report("4 nonexistence m=1,3,5 (certified)", ok)
 
 
-@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
 def test_criterion_5_uniqueness_round_trip(m):
     start = time.time()
     g = construct_g(m)

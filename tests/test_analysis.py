@@ -99,7 +99,8 @@ def test_bounds_input_validation():
     with pytest.raises(ValueError):
         max_rate(0)
     with pytest.raises(ValueError):
-        min_delay(1)
+        min_delay(0)
+    assert min_delay(1) == 1  # C(2,0), the p of construct_g(1)
 
 
 def test_structural_report_known_design(eq3):

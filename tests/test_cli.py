@@ -277,6 +277,8 @@ def test_bounds(capsys):
     assert run("bounds", "-n", "6") == 0
     out = capsys.readouterr().out
     assert "rate 2/3" in out and "delay 30" in out
+    assert run("bounds", "-n", "1") == 0
+    assert capsys.readouterr().out == "rate 1\ndelay 1\n"
 
 
 def test_scramble_round_trip(tmp_path, g2_file):

@@ -1,5 +1,7 @@
 import functools
+import json
 import random
+from array import array
 from collections import Counter
 from dataclasses import fields
 
@@ -21,6 +23,7 @@ from codlib import (
     zero_pattern,
 )
 from codlib.errors import ParameterError
+from codlib.fileio import design_from_json, design_to_json
 from codlib.model import VerificationReport, gram_entry
 from conftest import make_eq3
 
@@ -270,8 +273,8 @@ def test_m_is_derived_from_n(eq3):
     assert eq3.m == 2
     with pytest.raises(ParameterError):
         CodMatrix.from_rows(3, [list(r) for r in eq3.cells])
-    # k is derived from the cells as well; it is not stored
-    assert [f.name for f in fields(CodMatrix)] == ["p", "n", "cells"]
+    # k is the size of the variable table; it is not stored
+    assert [f.name for f in fields(CodMatrix)] == ["p", "n", "codes", "ids"]
     z1, z2 = BitVec.unit(4, 1), BitVec.unit(4, 2)
     cod = CodMatrix.from_rows(1, [[Entry(z2)], [Entry(z1, -1, True)], [Entry(z2, -1)]])
     assert cod.k == 2 and cod.variables() == (z1, z2)
@@ -334,3 +337,50 @@ def test_instances_match_brute_force_scan():
     used = {v.mask for v in s.variables()}
     unused = next(mask for mask in range(1 << 6) if mask not in used)
     assert s.instances(BitVec(6, unused)) == []
+
+
+@functools.cache
+def boundary_designs():
+    """Scrambles of G_1..G_5, and a design whose variables share one mask
+    at three lengths."""
+    designs = [scramble(construct_g(m), seed=m, count=40)[0] for m in range(1, 6)]
+    a, b, c = BitVec(2, 1), BitVec(3, 1), BitVec(1, 1)
+    designs.append(CodMatrix.from_rows(2, [
+        [Entry(b), None, Entry(a, -1, True)],
+        [Entry(c, 1, True), Entry(a), None],
+        [None, Entry(b, -1), Entry(c)],
+    ]))
+    return designs
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(data=st.data())
+def test_code_grid_matches_its_cells(data):
+    cod = data.draw(st.sampled_from(boundary_designs()))
+    cells = cod.cells
+    rebuilt = CodMatrix.from_rows(cod.m, cells)
+    assert rebuilt == cod and hash(rebuilt) == hash(cod)
+    # the same cells with the variables first seen in another order
+    order = data.draw(st.permutations(range(cod.k)))
+    ids = [cod.ids[i] for i in order]
+    recode = {v << 2 | flags: order.index(v - 1) + 1 << 2 | flags
+              for v in range(1, cod.k + 1) for flags in range(4)}
+    codes = array("q", [recode.get(code, 0) for code in cod.codes])
+    other = CodMatrix._from_codes(cod.p, cod.n, codes, ids)
+    assert other == cod and hash(other) == hash(cod)
+    doc = json.loads(design_to_json(cod))
+    data.draw(st.randoms(use_true_random=False)).shuffle(doc["entries"])
+    loaded = design_from_json(json.dumps(doc))
+    assert loaded == cod and hash(loaded) == hash(cod)
+    # the API reads agree with a brute-force scan of the cells
+    for r in range(1, cod.p + 1):
+        assert cod.row(r) == cells[r - 1]
+        for c in range(1, cod.n + 1):
+            assert cod.entry(r, c) == cells[r - 1][c - 1]
+    seen = {e.var for row in cells for e in row if e is not None}
+    assert cod.variables() == tuple(sorted(seen, key=lambda v: (v.mask, v.length)))
+    for var in seen:
+        assert cod.instances(var) == [
+            (r, c, e) for r, row in enumerate(cells, 1) for c, e in enumerate(row, 1)
+            if e is not None and e.var == var
+        ]
