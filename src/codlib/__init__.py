@@ -1,102 +1,81 @@
 """Complex orthogonal designs: construction, verification, canonical forms,
-and the closed-form 2m-th column or its odd-m certificate."""
+and the closed-form 2m-th column or its odd-m certificate.
 
-from .bitvec import BitVec
-from .model import (
-    CodMatrix,
-    Entry,
-    VerificationReport,
-    row_id,
-    verify_numeric,
-    verify_symbolic,
-    zero_pattern,
-)
-from .generator import (
-    ExtensionResult,
-    InconsistencyCertificate,
-    check_certificate,
-    construct_g,
-    extend_g,
-    theta,
-)
-from .equivalence import (
-    ColPerm,
-    ConjVar,
-    EquivOp,
-    NegCol,
-    NegRow,
-    NegVar,
-    RenameVar,
-    RowPerm,
-    apply_ops,
-    canonicalize,
-    equivalent,
-    scramble,
-)
-from .analysis import (
-    BjForm,
-    BoundsReport,
-    StructuralReport,
-    bounds,
-    extract_bj,
-    max_rate,
-    min_delay,
-    shares_alamouti,
-    structural_report,
-)
-from .oracle import EquivalenceClass, SearchSpec, enumerate_cods
-from .errors import (
-    BudgetExceededError,
-    DesignError,
-    InvalidDesignError,
-    MalformedFileError,
-    MixedConjugationError,
-    ParameterError,
-)
+Importing the package loads none of its submodules: each public name is
+imported from its submodule on first access (PEP 562), so a CLI command
+loads only what it runs.
+"""
 
-__all__ = [
-    "BitVec",
-    "CodMatrix",
-    "Entry",
-    "VerificationReport",
-    "row_id",
-    "verify_numeric",
-    "verify_symbolic",
-    "zero_pattern",
-    "ExtensionResult",
-    "InconsistencyCertificate",
-    "check_certificate",
-    "construct_g",
-    "extend_g",
-    "theta",
-    "ColPerm",
-    "ConjVar",
-    "EquivOp",
-    "NegCol",
-    "NegRow",
-    "NegVar",
-    "RenameVar",
-    "RowPerm",
-    "apply_ops",
-    "canonicalize",
-    "equivalent",
-    "scramble",
-    "BjForm",
-    "BoundsReport",
-    "StructuralReport",
-    "bounds",
-    "extract_bj",
-    "max_rate",
-    "min_delay",
-    "shares_alamouti",
-    "structural_report",
-    "EquivalenceClass",
-    "SearchSpec",
-    "enumerate_cods",
-    "BudgetExceededError",
-    "DesignError",
-    "InvalidDesignError",
-    "MalformedFileError",
-    "MixedConjugationError",
-    "ParameterError",
-]
+from importlib import import_module
+
+# submodule -> the public names it defines, in the order of __all__
+_EXPORTS = {
+    "bitvec": ("BitVec",),
+    "model": (
+        "CodMatrix",
+        "Entry",
+        "VerificationReport",
+        "row_id",
+        "verify_numeric",
+        "verify_symbolic",
+        "zero_pattern",
+    ),
+    "generator": (
+        "ExtensionResult",
+        "InconsistencyCertificate",
+        "check_certificate",
+        "construct_g",
+        "extend_g",
+        "theta",
+    ),
+    "equivalence": (
+        "ColPerm",
+        "ConjVar",
+        "EquivOp",
+        "NegCol",
+        "NegRow",
+        "NegVar",
+        "RenameVar",
+        "RowPerm",
+        "apply_ops",
+        "canonicalize",
+        "equivalent",
+        "scramble",
+    ),
+    "analysis": (
+        "BjForm",
+        "BoundsReport",
+        "StructuralReport",
+        "bounds",
+        "extract_bj",
+        "max_rate",
+        "min_delay",
+        "shares_alamouti",
+        "structural_report",
+    ),
+    "oracle": ("EquivalenceClass", "SearchSpec", "enumerate_cods"),
+    "errors": (
+        "BudgetExceededError",
+        "DesignError",
+        "InvalidDesignError",
+        "MalformedFileError",
+        "MixedConjugationError",
+        "ParameterError",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -5,11 +5,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .bitvec import BitVec
 from .errors import DesignError, ParameterError
-from .model import CodMatrix, Entry
+
+if TYPE_CHECKING:  # `bounds` runs without the model
+    from .model import CodMatrix, Entry
 
 
 @dataclass

@@ -12,10 +12,8 @@ import os
 import sys
 from pathlib import Path
 
-from . import analysis, equivalence, fileio, generator
 from .bitvec import BitVec
 from .errors import DesignError, InvalidDesignError, MalformedFileError, ParameterError
-from .model import verify_numeric, verify_symbolic
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -24,12 +22,15 @@ EXIT_INVALID = 3
 EXIT_INTERNAL = 4
 
 
-def _read_file(path: str, parse=fileio.design_from_json):
+def _read_file(path: str, parse=None):
+    """Parse the file `path` with `parse`, by default as a design."""
+    from .fileio import design_from_json
+
     try:
         text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
         raise MalformedFileError(str(exc), path)
-    return parse(text)
+    return (parse or design_from_json)(text)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -52,18 +53,27 @@ def _check_dir(out: str | None) -> None:
         )
 
 
+# Each command imports the modules it runs, so a process loads no others.
+
+
 def _cmd_generate(args) -> int:
-    cod = generator.construct_g(args.m)
-    _emit(fileio.design_to_json(cod), args.output)
+    from .fileio import design_to_json
+    from .generator import construct_g
+
+    _emit(design_to_json(construct_g(args.m)), args.output)
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
     if args.certificate:
-        m, constraints = _read_file(args.file, fileio.certificate_from_json)
-        ok = generator.check_certificate(m, constraints)
+        from .fileio import certificate_from_json
+        from .generator import check_certificate
+
+        ok = check_certificate(*_read_file(args.file, certificate_from_json))
         print("certificate valid" if ok else "certificate INVALID")
         return EXIT_OK if ok else EXIT_FALSE
+    from .model import verify_numeric, verify_symbolic
+
     cod = _read_file(args.file)
     report = verify_symbolic(cod)
     if not report.ok:
@@ -103,16 +113,19 @@ def _residual_line(where: tuple[int, ...], residual: dict) -> str:
 
 
 def _cmd_canonicalize(args) -> int:
-    cod = _read_file(args.file)
-    canon = equivalence.canonicalize(cod)
-    _emit(fileio.design_to_json(canon), args.output)
+    from .equivalence import canonicalize
+    from .fileio import design_to_json
+
+    _emit(design_to_json(canonicalize(_read_file(args.file))), args.output)
     return EXIT_OK
 
 
 def _cmd_equivalent(args) -> int:
+    from .equivalence import equivalent
+
     a = _read_file(args.a)
     b = _read_file(args.b)
-    if equivalence.equivalent(a, b):
+    if equivalent(a, b):
         print("equivalent")
         return EXIT_OK
     print("not equivalent")
@@ -120,14 +133,17 @@ def _cmd_equivalent(args) -> int:
 
 
 def _cmd_extend(args) -> int:
-    result = generator.extend_g(args.m)
+    from .fileio import certificate_to_json, design_to_json
+    from .generator import extend_g
+
+    result = extend_g(args.m)
     if result.exists:
-        _emit(fileio.design_to_json(result.design), args.output)
+        _emit(design_to_json(result.design), args.output)
         print(
             f"extension exists; sign solutions: 2^{result.solution_count_log2}"
         )
         return EXIT_OK
-    text = fileio.certificate_to_json(args.m, result.certificate)
+    text = certificate_to_json(args.m, result.certificate)
     _emit(text, args.certificate)
     print(
         f"no extension for m={args.m}: odd-parity cycle of "
@@ -137,18 +153,24 @@ def _cmd_extend(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    rep = analysis.bounds(args.n)
+    from .analysis import bounds
+
+    rep = bounds(args.n)
     print(f"rate {rep.max_rate}")
     print(f"delay {rep.min_delay}")
     return EXIT_OK
 
 
 def _cmd_scramble(args) -> int:
+    from .equivalence import scramble
+    from .fileio import design_to_json, ops_to_text
+    from .model import verify_symbolic
+
     cod = _read_file(args.file)
-    out, ops = equivalence.scramble(cod, seed=args.seed, count=args.count)
+    out, ops = scramble(cod, seed=args.seed, count=args.count)
     if not verify_symbolic(out).ok:
         raise InvalidDesignError("scramble output fails verification")
-    text, log = fileio.design_to_json(out), fileio.ops_to_text(ops)
+    text, log = design_to_json(out), ops_to_text(ops)
     _check_dir(args.output)
     _check_dir(args.log)
     _emit(text, args.output)
@@ -159,11 +181,14 @@ def _cmd_scramble(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    from .analysis import structural_report
+    from .model import verify_symbolic
+
     cod = _read_file(args.file)
     rep = verify_symbolic(cod)
     print(f"[{cod.p},{cod.n},{cod.k}] m={cod.m}")
     print(f"orthogonal: {'yes' if rep.ok else 'NO'}")
-    sr = analysis.structural_report(cod)
+    sr = structural_report(cod)
     for check in sr.checks:
         status = "pass" if check.ok else "FAIL"
         print(f"{check.name}: {status}")
@@ -173,9 +198,10 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_export(args) -> int:
+    from . import fileio
+
     cod = _read_file(args.file)
-    render = {"json": fileio.design_to_json, "csv": fileio.design_to_csv,
-              "latex": fileio.design_to_latex}[args.format]
+    render = getattr(fileio, f"design_to_{args.format}")
     _emit(render(cod), args.output)
     return EXIT_OK
 

@@ -14,22 +14,15 @@ import json
 import math
 from array import array
 from itertools import compress
-from typing import Sequence
+from typing import TYPE_CHECKING, NoReturn, Sequence
 
 from .bitvec import BitVec
-from .equivalence import (
-    ColPerm,
-    ConjVar,
-    EquivOp,
-    NegCol,
-    NegRow,
-    NegVar,
-    RenameVar,
-    RowPerm,
-)
 from .errors import MalformedFileError
-from .generator import M_MAX, Constraint, InconsistencyCertificate
-from .model import CodMatrix
+from .model import M_MAX, CodMatrix
+
+if TYPE_CHECKING:  # design I/O loads neither module
+    from .equivalence import EquivOp
+    from .generator import Constraint, InconsistencyCertificate
 
 DESIGN_FORMAT = "cod-design"
 CERT_FORMAT = "cod-certificate"
@@ -118,6 +111,22 @@ def _load(text: str, fmt: str) -> dict:
     return doc
 
 
+def _reject_entry(item, where: str, p: int, n: int, codes: array) -> NoReturn:
+    """Raise the error of the first check that the cell entry `item` fails."""
+    r = _int(item, "row", where, 1, p)
+    c = _int(item, "col", where, 1, n)
+    if codes[(r - 1) * n + c - 1]:
+        raise MalformedFileError(f"duplicate cell ({r},{c})", where)
+    sign = _require(item, "sign", where)
+    if sign not in ("+", "-"):
+        raise MalformedFileError(f"sign must be '+' or '-', got {sign!r}", where)
+    conj = _require(item, "conj", where)
+    if not isinstance(conj, bool):
+        raise MalformedFileError(f"conj must be boolean, got {conj!r}", where)
+    _bitvec(item, "var", where)
+    raise AssertionError(f"{where} passed every check")
+
+
 def design_from_json(text: str) -> CodMatrix:
     doc = _load(text, DESIGN_FORMAT)
     m = _int(doc, "m", "document", 1)
@@ -131,22 +140,24 @@ def design_from_json(text: str) -> CodMatrix:
     table: list[BitVec] = []  # var_id - 1 -> variable, in order of first use
     var_ids: dict[str, int] = {}  # var text -> var_id << 2
     for idx, item in enumerate(_list(doc, "entries")):
-        where = f"entries[{idx}]"
-        r = _int(item, "row", where, 1, p)
-        c = _int(item, "col", where, 1, n)
-        pos = (r - 1) * n + c - 1
-        if codes[pos]:
-            raise MalformedFileError(f"duplicate cell ({r},{c})", where)
-        sign = _require(item, "sign", where)
-        if sign not in ("+", "-"):
-            raise MalformedFileError(f"sign must be '+' or '-', got {sign!r}", where)
-        conj = _require(item, "conj", where)
-        if not isinstance(conj, bool):
-            raise MalformedFileError(f"conj must be boolean, got {conj!r}", where)
-        text = item.get("var")
-        v = var_ids.get(text) if isinstance(text, str) else None
+        # Inline checks; only an entry that fails one pays for a location.
+        try:
+            r, c, sign, conj, text = (
+                item["row"], item["col"], item["sign"], item["conj"], item["var"]
+            )
+            ok = (
+                type(r) is int and 0 < r <= p and type(c) is int and 0 < c <= n
+                and not codes[pos := (r - 1) * n + c - 1]
+                and (sign == "+" or sign == "-") and type(conj) is bool
+                and type(text) is str
+            )
+        except (TypeError, KeyError):  # not an object, or a field is missing
+            ok = False
+        if not ok:
+            _reject_entry(item, f"entries[{idx}]", p, n, codes)
+        v = var_ids.get(text)
         if v is None:  # a text is known only once _bitvec has accepted it
-            table.append(_bitvec(item, "var", where))
+            table.append(_bitvec(item, "var", f"entries[{idx}]"))
             v = var_ids[text] = len(table) << 2
         codes[pos] = v | conj << 1 | (sign == "-")
     if len(table) != k:
@@ -188,6 +199,8 @@ def certificate_from_json(text: str) -> tuple[int, list[Constraint]]:
 
 
 def op_to_line(op: EquivOp) -> str:
+    from .equivalence import ColPerm, ConjVar, NegCol, NegRow, NegVar, RenameVar, RowPerm
+
     if isinstance(op, RowPerm):
         return "rowperm " + " ".join(map(str, op.perm))
     if isinstance(op, ColPerm):
@@ -206,6 +219,8 @@ def op_to_line(op: EquivOp) -> str:
 
 
 def op_from_line(line: str) -> EquivOp:
+    from .equivalence import ColPerm, ConjVar, NegCol, NegRow, NegVar, RenameVar, RowPerm
+
     parts = line.split()
     if not parts:
         raise MalformedFileError("empty op line")

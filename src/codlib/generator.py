@@ -19,9 +19,7 @@ from typing import Optional
 
 from .bitvec import BitVec
 from .errors import ParameterError
-from .model import CodMatrix
-
-M_MAX = 8  # desk-scale guard; p = C(2m, m-1) grows fast
+from .model import M_MAX, CodMatrix
 
 Constraint = tuple[BitVec, BitVec, int]
 

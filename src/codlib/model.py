@@ -30,6 +30,8 @@ from typing import Optional, Sequence
 from .bitvec import BitVec
 from .errors import MixedConjugationError, ParameterError
 
+M_MAX = 8  # desk-scale guard; p = C(2m, m-1) grows fast
+
 
 @dataclass(frozen=True)
 class Entry:

@@ -11,7 +11,7 @@ out in the order of the flat product over all cells.
   sign and conjugation bits are searched: 4^(#nonzero cells) candidates.
   Each column pair is checked at the cell that completes it.  The support
   itself is taken from `construct_g`, so this mode is not independent of
-  the generator it cross-checks (ROADMAP item 3).
+  the generator it cross-checks (ROADMAP item 2).
 * free: every cell ranges over zero and all signed, optionally conjugated
   variables.  A column may not repeat a variable and must hold all k once
   its last row is set; its Gram entries with the columns before it are

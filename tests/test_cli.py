@@ -61,7 +61,8 @@ def test_malformed_file_is_exit_3(tmp_path):
 
 G2 = json.loads(design_to_json(construct_g(2)))
 G5 = json.loads(design_to_json(construct_g(3)))
-CERT = json.loads(certificate_to_json(3, extend_g(3).certificate))
+CERT_TEXT = certificate_to_json(3, extend_g(3).certificate)
+CERT = json.loads(CERT_TEXT)
 
 
 def _edited(doc, **fields):
@@ -239,11 +240,51 @@ def test_cli_start_up_does_not_import_numpy():
     assert proc.stdout == "False\n"
 
 
+def _loaded_modules(cwd, code):
+    """The modules that a fresh interpreter holds after running `code` in `cwd`."""
+    src = str(Path(codlib.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", code + "\nimport sys; print(*sys.modules, file=sys.stderr)"],
+        capture_output=True, text=True, env={"PYTHONPATH": src}, check=True, cwd=cwd,
+    )
+    return set(proc.stderr.split())
+
+
+CLI_COMMANDS = {
+    "bounds": ["bounds", "-n", "9"],
+    "generate": ["generate", "-m", "2", "-o", "out.json"],
+    "verify": ["verify", "g.json"],
+    "verify --numeric": ["verify", "g.json", "--numeric", "--trials", "1"],
+    "verify --certificate": ["verify", "cert.json", "--certificate"],
+    "canonicalize": ["canonicalize", "g.json"],
+    "equivalent": ["equivalent", "g.json", "g.json"],
+    "extend": ["extend", "-m", "3", "--certificate", "out.json"],
+    "scramble": ["scramble", "g.json", "--seed", "1", "--count", "3", "--log", "ops.txt"],
+    "analyze": ["analyze", "g.json"],
+    "export": ["export", "g.json", "--format", "csv"],
+}
+
+
+@pytest.mark.parametrize("command", list(CLI_COMMANDS))
+def test_cli_command_loads_only_what_it_runs(tmp_path, command):
+    (tmp_path / "g.json").write_text(design_to_json(construct_g(2)))
+    (tmp_path / "cert.json").write_text(CERT_TEXT)
+    code = f"from codlib.cli import main; assert main({CLI_COMMANDS[command]!r}) in (0, 1)"
+    loaded = _loaded_modules(tmp_path, code)
+    ours = {name.split(".")[1] for name in loaded if name.startswith("codlib.")}
+    assert "oracle" not in ours
+    assert ("equivalence" in ours) == (command in ("scramble", "canonicalize", "equivalent"))
+    assert ("generator" in ours) == (command in ("generate", "extend", "verify --certificate"))
+    assert ("analysis" in ours) == (command in ("bounds", "analyze"))
+    assert ("fileio" in ours) == (command != "bounds")
+    assert ("numpy" in loaded) == (command == "verify --numeric")
+
+
 def test_unexpected_exception_is_exit_4(monkeypatch, capsys):
     def boom(n):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr("codlib.cli.analysis.bounds", boom)
+    monkeypatch.setattr("codlib.analysis.bounds", boom)
     assert run("bounds", "-n", "6") == 4
     assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"
 
