@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 from typing import TYPE_CHECKING, Optional
 
@@ -36,7 +37,7 @@ def _split(cod: CodMatrix, var_id: int) -> tuple[list[int], list[int]]:
 
 def extract_bj(cod: CodMatrix, var: BitVec) -> BjForm:
     """Partition the rows containing `var` by conjugation of its instance."""
-    top, bottom = _split(cod, cod._var_id(var))
+    top, bottom = _split(cod, cod.ids.index(var) + 1 if var in cod.ids else 0)
     if not top and not bottom:
         raise DesignError(f"variable {var} does not appear")
     n = cod.n
@@ -47,7 +48,7 @@ def extract_bj(cod: CodMatrix, var: BitVec) -> BjForm:
         n2=len(bottom),
         top_rows=[pos // n + 1 for pos in top],
         bottom_rows=[pos // n + 1 for pos in bottom],
-        block=[[cod._entry(cod.codes[pos - pos % n + c]) for c in bottom_cols] for pos in top],
+        block=[[cod.cells[pos // n][c] for c in bottom_cols] for pos in top],
     )
 
 
@@ -61,20 +62,18 @@ def shares_alamouti(
     variable with opposite conjugation, and the sign product over the four
     cells is -1.
     """
+    for row in (row_a, row_b):
+        if not 1 <= row <= cod.p:
+            raise IndexError(f"row {row} out of range 1..{cod.p}")
     if row_a == row_b:
         return None
-    for i in range(1, cod.n + 1):
-        for j in range(i + 1, cod.n + 1):
-            ai, aj = cod.entry(row_a, i), cod.entry(row_a, j)
-            bi, bj = cod.entry(row_b, i), cod.entry(row_b, j)
-            if None in (ai, aj, bi, bj):
-                continue
-            if ai.var != bj.var or aj.var != bi.var or ai.var == aj.var:
-                continue
-            if ai.conj == bj.conj or aj.conj == bi.conj:
-                continue
-            if ai.sign * bj.sign * aj.sign * bi.sign == -1:
-                return (i, j)
+    n = cod.n
+    a, b = (cod.codes[(row - 1) * n:row * n] for row in (row_a, row_b))
+    for i, j in combinations(range(n), 2):
+        # x >> 1 == 1: the same variable with the other conjugation flag
+        x, y = a[i] ^ b[j], a[j] ^ b[i]
+        if x >> 1 == 1 and y >> 1 == 1 and a[i] >> 2 != a[j] >> 2 and x ^ y == 1:
+            return (i + 1, j + 1)
     return None
 
 

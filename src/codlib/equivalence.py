@@ -90,7 +90,7 @@ def apply_ops(cod: CodMatrix, ops: Sequence[EquivOp]) -> CodMatrix:
     """
     rows = [[r, False] for r in range(cod.p)]  # [input row, negated]
     cols = [[c, False] for c in range(cod.n)]
-    ids = {v: [v, False, False] for v in cod.variables()}  # [input id, negated, conjugated]
+    ids = {v: [v, False, False] for v in cod.ids}  # [input id, negated, conjugated]
     for op in ops:
         if isinstance(op, RowPerm):
             _check_perm(op.perm, cod.p, "row")
@@ -147,7 +147,7 @@ def scramble(
     if cod.k == 0:
         raise ParameterError("cannot scramble a design without variables")
     rng = random.Random(seed)
-    ids = list(cod.variables())  # ascending by (mask, length); only renames change it
+    ids = list(cod.ids)  # ascending by (mask, length); only renames change it
     ops: list[EquivOp] = []
     for _ in range(count):
         kind = rng.randrange(7)

@@ -14,7 +14,7 @@ import json
 import math
 from array import array
 from itertools import compress
-from typing import TYPE_CHECKING, NoReturn, Sequence
+from typing import TYPE_CHECKING, Callable, NoReturn, Optional, Sequence
 
 from .bitvec import BitVec
 from .errors import MalformedFileError
@@ -198,51 +198,45 @@ def certificate_from_json(text: str) -> tuple[int, list[Constraint]]:
 # -- op logs ---------------------------------------------------------------
 
 
-def op_to_line(op: EquivOp) -> str:
+def _op_kinds() -> dict[str, tuple[type, Callable[[str], object], Optional[int]]]:
+    """kind -> (op class, argument parser, argument count or None for any)."""
     from .equivalence import ColPerm, ConjVar, NegCol, NegRow, NegVar, RenameVar, RowPerm
 
-    if isinstance(op, RowPerm):
-        return "rowperm " + " ".join(map(str, op.perm))
-    if isinstance(op, ColPerm):
-        return "colperm " + " ".join(map(str, op.perm))
-    if isinstance(op, ConjVar):
-        return f"conjvar {op.var}"
-    if isinstance(op, NegVar):
-        return f"negvar {op.var}"
-    if isinstance(op, RenameVar):
-        return f"renamevar {op.old} {op.new}"
-    if isinstance(op, NegRow):
-        return f"negrow {op.row}"
-    if isinstance(op, NegCol):
-        return f"negcol {op.col}"
+    bits = BitVec.from_string
+    return {
+        "rowperm": (RowPerm, int, None),
+        "colperm": (ColPerm, int, None),
+        "conjvar": (ConjVar, bits, 1),
+        "negvar": (NegVar, bits, 1),
+        "renamevar": (RenameVar, bits, 2),
+        "negrow": (NegRow, int, 1),
+        "negcol": (NegCol, int, 1),
+    }
+
+
+def op_to_line(op: EquivOp) -> str:
+    for kind, (cls, _, count) in _op_kinds().items():
+        if isinstance(op, cls):
+            args = tuple(vars(op).values())
+            return kind + " " + " ".join(map(str, args if count else args[0]))
     raise TypeError(f"unknown op {op!r}")
 
 
 def op_from_line(line: str) -> EquivOp:
-    from .equivalence import ColPerm, ConjVar, NegCol, NegRow, NegVar, RenameVar, RowPerm
-
     parts = line.split()
     if not parts:
         raise MalformedFileError("empty op line")
     kind, args = parts[0], parts[1:]
+    if kind not in (kinds := _op_kinds()):
+        raise MalformedFileError(f"unknown op kind {kind!r}")
+    cls, parse, count = kinds[kind]
     try:
-        if kind == "rowperm":
-            return RowPerm(tuple(int(a) for a in args))
-        if kind == "colperm":
-            return ColPerm(tuple(int(a) for a in args))
-        if kind == "conjvar":
-            return ConjVar(BitVec.from_string(args[0]))
-        if kind == "negvar":
-            return NegVar(BitVec.from_string(args[0]))
-        if kind == "renamevar":
-            return RenameVar(BitVec.from_string(args[0]), BitVec.from_string(args[1]))
-        if kind == "negrow":
-            return NegRow(int(args[0]))
-        if kind == "negcol":
-            return NegCol(int(args[0]))
-    except (ValueError, IndexError) as exc:
+        if count is not None and len(args) != count:
+            raise ValueError(f"{kind} takes {count} argument(s), got {len(args)}")
+        values = [parse(a) for a in args]
+    except ValueError as exc:
         raise MalformedFileError(f"bad op line {line!r}: {exc}")
-    raise MalformedFileError(f"unknown op kind {kind!r}")
+    return cls(*values) if count else cls(tuple(values))
 
 
 def ops_to_text(ops: Sequence[EquivOp]) -> str:
@@ -250,7 +244,14 @@ def ops_to_text(ops: Sequence[EquivOp]) -> str:
 
 
 def ops_from_text(text: str) -> list[EquivOp]:
-    return [op_from_line(line) for line in text.splitlines() if line.strip()]
+    ops = []
+    for number, line in enumerate(text.splitlines(), 1):
+        if line.strip():
+            try:
+                ops.append(op_from_line(line))
+            except MalformedFileError as exc:
+                raise MalformedFileError(str(exc), f"line {number}") from None
+    return ops
 
 
 # -- human-readable exports ------------------------------------------------

@@ -60,12 +60,13 @@ def row_ids_for(m: int) -> list[BitVec]:
 def construct_g(m: int) -> CodMatrix:
     """Build the standard [C(2m,m-1), 2m-1, C(2m-1,m-1)] design."""
     _check_m(m)
-    return _build_g(m, row_ids_for(m))
+    return _build_g(m)
 
 
-def _build_g(m: int, ids: list[BitVec], extend: bool = False) -> CodMatrix:
-    """G with one row per id of `ids`, which must be `row_ids_for(m)`; with
-    `extend`, also the 2m-th column that `extend_g` derives for even m."""
+def _build_g(m: int, extend: bool = False) -> CodMatrix:
+    """G, one row per id of `row_ids_for(m)`; with `extend`, also the 2m-th
+    column that `extend_g` derives for even m."""
+    ids = row_ids_for(m)
     two_m, n = 2 * m, 2 * m - 1
     e = (1 << two_m) - 1
     top = 1 << n  # e_2m: the row is conjugated
@@ -153,17 +154,21 @@ def check_certificate(m: int, constraints: list[Constraint]) -> bool:
 class ExtensionResult:
     """Outcome of attempting to append column 2m to the standard design.
 
-    Exactly one of (design, solution_count_log2) or certificate is set; the
-    new column is the last column of `design`.
+    Exactly one of design or certificate is set; the new column is the
+    last column of `design`.
     """
 
     design: Optional[CodMatrix] = None
-    solution_count_log2: Optional[int] = None
     certificate: Optional[InconsistencyCertificate] = None
 
     @property
     def exists(self) -> bool:
         return self.design is not None
+
+    @property
+    def solution_count_log2(self) -> Optional[int]:
+        """log2 of the number of sign solutions: phi and its global flip."""
+        return 1 if self.exists else None
 
 
 def _odd_walk(m: int) -> list[Constraint]:
@@ -203,4 +208,4 @@ def extend_g(m: int) -> ExtensionResult:
     _check_m(m)
     if m % 2:
         return ExtensionResult(certificate=InconsistencyCertificate(_odd_walk(m)))
-    return ExtensionResult(design=_build_g(m, row_ids_for(m), extend=True), solution_count_log2=1)
+    return ExtensionResult(design=_build_g(m, extend=True))

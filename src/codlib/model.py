@@ -5,8 +5,9 @@ cell codes and one table of its distinct variable ids (`BitVec`s), sorted
 by (mask, length).  A zero cell has code 0; a signed, optionally
 conjugated instance of a variable has code var_id << 2 | conj << 1 | neg,
 where var_id is 1 + the variable's position in the table.  Equal designs
-therefore have equal codes, and every kernel reads and writes the codes;
-`Entry` cells are built only where the API hands cells out.
+therefore have equal codes, and every kernel, the oracle's search
+included, reads and writes the codes.  `CodMatrix.from_rows` is the one
+encoder of `Entry` rows and `CodMatrix.cells` the one decoder.
 
 Orthogonality is checked exactly, over commuting symbols, with a seeded
 numeric substitution as a secondary smoke test.  The diagonal Gram entry
@@ -20,7 +21,6 @@ from __future__ import annotations
 
 import math
 from array import array
-from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -122,38 +122,18 @@ class CodMatrix:
             codes = array("q", map(recode.__getitem__, codes))
         return cls(p, n, codes, tuple(ids[i] for i in order))
 
-    def _entry(self, code: int) -> Cell:
-        """The `Entry` a code stands for, or None for 0."""
-        if not code:
-            return None
-        return Entry(self.ids[(code >> 2) - 1], -1 if code & 1 else 1, bool(code & 2))
-
     @cached_property
     def cells(self) -> tuple[tuple[Cell, ...], ...]:
         """The rows of `Entry` cells (None for zero), built on first use."""
-        built = {code: self._entry(code) for code in set(self.codes)}
+        ids = self.ids
+        built = {
+            code: Entry(ids[(code >> 2) - 1], -1 if code & 1 else 1, bool(code & 2))
+            if code else None
+            for code in set(self.codes)
+        }
         flat = list(map(built.__getitem__, self.codes))
         n = self.n
         return tuple(tuple(flat[i:i + n]) for i in range(0, len(flat), n))
-
-    def entry(self, row: int, col: int) -> Cell:
-        if not (1 <= row <= self.p and 1 <= col <= self.n):
-            raise IndexError(f"cell ({row},{col}) out of range")
-        return self._entry(self.codes[(row - 1) * self.n + col - 1])
-
-    def row(self, row: int) -> tuple[Cell, ...]:
-        if not 1 <= row <= self.p:
-            raise IndexError(f"row {row} out of range 1..{self.p}")
-        return tuple(map(self._entry, self.codes[(row - 1) * self.n:row * self.n]))
-
-    def variables(self) -> tuple[BitVec, ...]:
-        """Distinct variable ids, ascending by (mask, length)."""
-        return self.ids
-
-    def _var_id(self, var: BitVec) -> int:
-        """The var_id of `var`, or 0 if it does not appear."""
-        i = bisect_left(self.ids, id_order(var), key=id_order)
-        return i + 1 if i < len(self.ids) and self.ids[i] == var else 0
 
     @cached_property
     def _instance_index(self) -> list[list[int]]:
@@ -164,17 +144,6 @@ class CodMatrix:
             if code:
                 index[code >> 2].append(pos)
         return index
-
-    def instances(self, var: BitVec) -> list[tuple[int, int, Entry]]:
-        """All (row, col, entry) where the given variable appears, row-major.
-
-        The var_id -> cells index is built on the first call and kept.
-        """
-        n = self.n
-        return [
-            (pos // n + 1, pos % n + 1, self._entry(self.codes[pos]))
-            for pos in self._instance_index[self._var_id(var)]
-        ]
 
     @cached_property
     def patterns(self) -> list[int]:
@@ -200,37 +169,36 @@ def row_id(cod: CodMatrix, row: int) -> BitVec:
         raise ParameterError(
             f"row ids need n = 2m-1 columns, have n={cod.n}, m={cod.m}"
         )
-    entries = [e for e in cod.row(row) if e is not None]
-    flags = {e.conj for e in entries}
+    pat, n = zero_pattern(cod, row), cod.n
+    flags = {code & 2 for code in cod.codes[(row - 1) * n:row * n] if code}
     if len(flags) > 1:
         raise MixedConjugationError(f"row {row} mixes conjugation flags")
-    conj = flags.pop() if flags else False
-    pat = zero_pattern(cod, row)
-    return BitVec(2 * cod.m, pat.mask | (int(conj) << (2 * cod.m - 1)))
+    conj = flags.pop() >> 1 if flags else 0
+    return BitVec(n + 1, pat.mask | conj << n)
 
 
 # -- symbolic verification -------------------------------------------------
 
-# A symbol is (var mask, var length, conj); a monomial is a sorted pair of
-# symbols with an integer coefficient.  Commutativity makes cancellation a
-# multiset test.
+# A symbol is a factor's var_id << 1 | conj, so symbols sort like the
+# variable table; a monomial is a sorted pair of symbols with an integer
+# coefficient.  Commutativity makes cancellation a multiset test.
 
 
 def gram_entry(
-    cells: Sequence[Sequence[Cell]], a: int, b: int, rows: Sequence[int]
+    codes: Sequence[int], n: int, a: int, b: int, rows: Sequence[int]
 ) -> dict:
     """Nonzero monomials of the formal (a, b) entry of O^H O.
 
-    `cells` is the raw row grid, `a` and `b` are 0-based columns and `rows`
-    lists the 0-based rows where both columns are nonzero.
+    `codes` is a row-major grid of cell codes with `n` columns, `a` and `b`
+    are 0-based columns and `rows` lists the 0-based rows where both
+    columns are nonzero.
     """
     acc: dict = {}
     for r in rows:
-        ea, eb = cells[r][a], cells[r][b]
-        sa = (ea.var.mask, ea.var.length, not ea.conj)
-        sb = (eb.var.mask, eb.var.length, eb.conj)
+        ca, cb = codes[r * n + a], codes[r * n + b]
+        sa, sb = ca >> 1 ^ 1, cb >> 1  # column a's factor is conjugated
         mono = (sa, sb) if sa <= sb else (sb, sa)
-        acc[mono] = acc.get(mono, 0) + ea.sign * eb.sign
+        acc[mono] = acc.get(mono, 0) + (-1 if (ca ^ cb) & 1 else 1)
     return {mono: c for mono, c in acc.items() if c}
 
 
@@ -294,24 +262,26 @@ def verify_symbolic(cod: CodMatrix) -> VerificationReport:
 
     if not (bad_columns or bad_pairs):
         return VerificationReport(ok=True)
-    cells = cod.cells
     failures = []
     for a in range(n):
         if a in bad_columns:
-            support = [r for r, row in enumerate(cells) if row[a] is not None]
-            residual = Counter(gram_entry(cells, a, a, support))
-            residual.subtract({
-                ((v.mask, v.length, False), (v.mask, v.length, True)): 1
-                for v in cod.variables()
-            })
-            failures.append(((a + 1,), {k: v for k, v in residual.items() if v}))
+            support = [r for r, cols in enumerate(rows) if a in cols]
+            residual = Counter(gram_entry(codes, n, a, a, support))
+            residual.subtract({(v << 1, v << 1 | 1): 1 for v in range(1, cod.k + 1)})
+            failures.append(((a + 1,), residual))
         for b in range(a + 1, n):
             if (a, b) in bad_pairs or bad_columns & {a, b}:
-                shared = [r for r, row in enumerate(cells)
-                          if row[a] is not None and row[b] is not None]
-                acc = gram_entry(cells, a, b, shared)
+                shared = [r for r, cols in enumerate(rows) if a in cols and b in cols]
+                acc = gram_entry(codes, n, a, b, shared)
                 if acc:
                     failures.append(((a + 1, b + 1), acc))
+    # only the reported symbols are decoded, to (var mask, var length, conj)
+    names = [(v.mask, v.length) for v in cod.ids]
+    failures = [
+        (where, {tuple(names[(s >> 1) - 1] + (bool(s & 1),) for s in mono): c
+                 for mono, c in monomials.items() if c})
+        for where, monomials in failures
+    ]
     return VerificationReport(ok=not failures, failures=failures)
 
 

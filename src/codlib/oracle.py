@@ -1,21 +1,24 @@
 """Exhaustive search for small CODs.
 
-Two modes, each a depth-first search that sets the cells in row-major order,
-tries each cell's options in a fixed order and rejects a partial grid as soon
-as one of its Gram entries is complete and fails.  The designs it keeps come
-out in the order of the flat product over all cells.
+Two modes, each a depth-first search over one mutable grid of cell codes
+(see `model`).  It sets the cells in row-major order, tries each cell's
+options in a fixed order and rejects a partial grid as soon as one of its
+Gram entries is complete and fails.  Each design it keeps is a copy of the
+grid, and they come out in the order of the flat product over all cells.
 
 * family support: the zero patterns and variable placement of the
   [C(2m,m-1), 2m-1, C(2m-1,m-1)] family are forced (up to signs and
   conjugations) by the pairwise pattern relations, so only the per-cell
-  sign and conjugation bits are searched: 4^(#nonzero cells) candidates.
+  sign and conjugation bits are searched: 4^(#nonzero cells) candidates,
+  each cell's variable with flags 0..3 in that order (code & ~3 | flags).
   Each column pair is checked at the cell that completes it.  The support
   itself is taken from `construct_g`, so this mode is not independent of
   the generator it cross-checks (ROADMAP item 2).
 * free: every cell ranges over zero and all signed, optionally conjugated
-  variables.  A column may not repeat a variable and must hold all k once
-  its last row is set; its Gram entries with the columns before it are
-  checked then too.  Every design kept still passes `verify_symbolic`.
+  variables, in the order 0, then v << 2 | flags for each var_id v and
+  flags in (0, 2, 1, 3).  A column may not repeat a variable and must hold
+  all k once its last row is set; its Gram entries with the columns before
+  it are checked then too.  Every design kept still passes `verify_symbolic`.
   Only sensible for very small p*n; guarded by the budget.
 
 Valid designs are grouped by canonical form, giving ground truth for the
@@ -24,15 +27,16 @@ uniqueness and nonexistence claims at desk scale.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator
 
 from .bitvec import BitVec
 from .equivalence import _family_m, canonicalize
 from .errors import BudgetExceededError, ParameterError
 from .generator import construct_g
-from .model import CodMatrix, Entry, gram_entry, verify_symbolic
+from .model import CodMatrix, gram_entry, verify_symbolic
 
 DEFAULT_BUDGET = 1 << 26
 
@@ -91,12 +95,8 @@ def _classify(classes: dict[CodMatrix, EquivalenceClass], cand: CodMatrix) -> No
 
 def _enumerate_family(spec: SearchSpec) -> list[EquivalenceClass]:
     support = construct_g(_family_m(spec.p, spec.n, spec.k))
-    cells = [
-        (r, c)
-        for r, row in enumerate(support.cells)
-        for c, e in enumerate(row)
-        if e is not None
-    ]
+    p, n, grid = support.p, support.n, array("q", support.codes)
+    cells = [pos for pos, code in enumerate(grid) if code]
     estimate = 4 ** len(cells)
     if estimate > spec.budget:
         raise BudgetExceededError(estimate, spec.budget)
@@ -104,74 +104,68 @@ def _enumerate_family(spec: SearchSpec) -> list[EquivalenceClass]:
     # because every column of the forced support holds each variable once.
     # Each column pair is checked at the cell that completes it: the later
     # of its two cells in the last row both columns share.
-    index = {cell: i for i, cell in enumerate(cells)}
+    index = {pos: i for i, pos in enumerate(cells)}
     checks: list[list] = [[] for _ in cells]
-    for a, b in combinations(range(support.n), 2):
-        shared = [r for r, row in enumerate(support.cells)
-                  if row[a] is not None and row[b] is not None]
+    for a, b in combinations(range(n), 2):
+        shared = [r for r in range(p) if grid[r * n + a] and grid[r * n + b]]
         if shared:
-            checks[index[shared[-1], b]].append((a, b, shared))
+            checks[index[shared[-1] * n + b]].append((a, b, shared))
     # the four sign/conjugation variants of each support cell
-    variants = [
-        [Entry(e.var, sign, conj) for conj in (False, True) for sign in (1, -1)]
-        for e in (support.cells[r][c] for r, c in cells)
-    ]
-    rows = [list(row) for row in support.cells]
+    variants = [[grid[pos] & ~3 | flags for flags in range(4)] for pos in cells]
 
-    def place(i: int, entry: Entry) -> bool:
-        r, c = cells[i]
-        rows[r][c] = entry
-        return not any(gram_entry(rows, a, b, shared) for a, b, shared in checks[i])
+    def place(i: int, code: int) -> bool:
+        grid[cells[i]] = code
+        return not any(gram_entry(grid, n, a, b, shared) for a, b, shared in checks[i])
 
     classes: dict[CodMatrix, EquivalenceClass] = {}
     for _ in _depth_first(variants, place):
-        _classify(classes, CodMatrix.from_rows(support.m, rows))
+        _classify(classes, CodMatrix(p, n, array("q", grid), support.ids))
     return list(classes.values())
 
 
 def _enumerate_free(spec: SearchSpec) -> list[EquivalenceClass]:
     if spec.n > 3:
         raise ParameterError("free mode is limited to n <= 3")
-    length = max(2, spec.k.bit_length() + 1, spec.k)  # room for k unit ids
-    variables = [BitVec.unit(length, i + 1) for i in range(spec.k)]
-    options: list[Optional[Entry]] = [None]
-    for v in variables:
-        for sign in (1, -1):
-            for conj in (False, True):
-                options.append(Entry(v, sign, conj))
-    n_cells = spec.p * spec.n
+    p, n, k = spec.p, spec.n, spec.k
+    length = max(2, k.bit_length() + 1, k)  # room for k unit ids
+    ids = tuple(BitVec.unit(length, v) for v in range(1, k + 1))
+    # zero, then each variable with + and -, each plain and conjugated
+    options = [0] + [v << 2 | flags for v in range(1, k + 1) for flags in (0, 2, 1, 3)]
+    n_cells = p * n
     estimate = len(options) ** n_cells
     if estimate > spec.budget:
         raise BudgetExceededError(estimate, spec.budget)
-    if spec.k and not n_cells:
+    if k and not n_cells:
         return []  # no cell to hold the k variables
+    if p < 1 or n < 1:
+        raise ParameterError(f"design needs at least one {'row' if p < 1 else 'column'}")
     # A diagonal Gram entry is the multiset of its column's variables, so a
     # valid design holds each of the k variables exactly once per column.
     # Once a column's last row is set, its Gram entries with the columns
     # before it are complete too.
-    rows: list[list[Optional[Entry]]] = [[None] * spec.n for _ in range(spec.p)]
-    last = spec.p - 1
+    grid = array("q", bytes(8 * n_cells))
+    last = p - 1
 
-    def place(i: int, entry: Optional[Entry]) -> bool:
-        r, c = divmod(i, spec.n)
-        above = [row[c] for row in rows[:r] if row[c] is not None]
-        if entry is not None and any(e.var == entry.var for e in above):
+    def place(i: int, code: int) -> bool:
+        r, c = divmod(i, n)
+        above = [grid[q] >> 2 for q in range(c, i, n) if grid[q]]
+        if code and code >> 2 in above:
             return False
-        rows[r][c] = entry
+        grid[i] = code
         if r < last:
             return True
-        if len(above) + (entry is not None) != spec.k:
+        if len(above) + (code != 0) != k:
             return False
+        in_c = [q for q in range(p) if grid[q * n + c]]
         return not any(
-            gram_entry(rows, a, c, [q for q, row in enumerate(rows)
-                                    if row[a] is not None and row[c] is not None])
-            for a in range(c)
+            gram_entry(grid, n, a, c, [q for q in in_c if grid[q * n + a]]) for a in range(c)
         )
 
     classes: dict[CodMatrix, EquivalenceClass] = {}
     singles: list[EquivalenceClass] = []
     for _ in _depth_first([options] * n_cells, place):
-        cand = CodMatrix.from_rows((spec.n + 1) // 2, rows)
+        # a kept grid holds all k variables in each column
+        cand = CodMatrix(p, n, array("q", grid), ids)
         if not verify_symbolic(cand).ok:
             continue
         try:

@@ -16,8 +16,10 @@ from codlib import (
     row_id,
     shares_alamouti,
     structural_report,
+    scramble,
     zero_pattern,
 )
+from conftest import instances
 
 
 def test_extract_bj_known_design(eq3):
@@ -38,7 +40,7 @@ def test_extract_bj_standard_design():
 
 def test_extract_bj_shape_m3():
     g = construct_g(3)
-    for var in g.variables():
+    for var in g.ids:
         bj = extract_bj(g, var)
         assert (bj.n1, bj.n2) == (2, 3)
 
@@ -52,6 +54,46 @@ def test_shares_alamouti_known_design(eq3):
     assert shares_alamouti(eq3, 1, 2) == (1, 2)
     assert shares_alamouti(eq3, 2, 3) is None
     assert shares_alamouti(eq3, 2, 2) is None
+
+
+def _reference_shares_alamouti(cod, row_a, row_b):
+    """The 2x2 Alamouti test on `Entry` cells, column pair by column pair."""
+    a, b = cod.cells[row_a - 1], cod.cells[row_b - 1]
+    for i in range(cod.n):
+        for j in range(i + 1, cod.n):
+            if None in (a[i], a[j], b[i], b[j]) or row_a == row_b:
+                continue
+            if a[i].var != b[j].var or a[j].var != b[i].var or a[i].var == a[j].var:
+                continue
+            if a[i].conj == b[j].conj or a[j].conj == b[i].conj:
+                continue
+            if a[i].sign * b[j].sign * a[j].sign * b[i].sign == -1:
+                return (i + 1, j + 1)
+    return None
+
+
+def test_shares_alamouti_matches_the_cell_reference(eq3):
+    g = construct_g(3)
+    rows = [list(row) for row in g.cells]
+    rows[0] = [e and e.negated() for e in rows[0][:2]] + rows[0][2:]
+    rows[1][0] = rows[1][0] and rows[1][0].conjugated()
+    z = BitVec.unit(2, 1)
+    designs = [eq3, scramble(g, seed=3, count=40)[0], CodMatrix.from_rows(3, rows),
+               CodMatrix.from_rows(1, [[Entry(z)]] * 2),
+               # one variable in all four cells: no Alamouti block
+               CodMatrix.from_rows(1, [[Entry(z), Entry(z, 1, True)],
+                                       [Entry(z), Entry(z, -1, True)]])]
+    found = 0
+    for cod in designs:
+        for row_a in range(1, cod.p + 1):
+            for row_b in range(1, cod.p + 1):
+                want = _reference_shares_alamouti(cod, row_a, row_b)
+                assert shares_alamouti(cod, row_a, row_b) == want
+                found += want is not None
+    assert found >= 100
+    for row_a, row_b in ((0, 1), (1, 5), (5, 4), (5, 5)):
+        with pytest.raises(IndexError):
+            shares_alamouti(eq3, row_a, row_b)
 
 
 def test_shares_alamouti_characterization_on_g():
@@ -123,7 +165,7 @@ def test_structural_report_extended_design():
 
 
 def test_structural_report_missing_row(eq3):
-    truncated = CodMatrix.from_rows(2, [list(eq3.row(r)) for r in (1, 2, 3)])
+    truncated = CodMatrix.from_rows(2, eq3.cells[:3])
     report = structural_report(truncated)
     completeness = next(
         c for c in report.checks if c.name == "zero_pattern_completeness"
@@ -136,8 +178,8 @@ def _reference_pattern_witnesses(cod):
     """Both zero-pattern checks bit by bit, on BitVec supports."""
     patterns = [zero_pattern(cod, r) for r in range(1, cod.p + 1)]
     relations = []
-    for var in cod.variables():
-        inst = cod.instances(var)
+    for var in cod.ids:
+        inst = instances(cod, var)
         for a in range(len(inst)):
             for b in range(a + 1, len(inst)):
                 (ra, ca, ea), (rb, cb, eb) = inst[a], inst[b]

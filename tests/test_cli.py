@@ -233,9 +233,10 @@ def test_scramble_with_every_id_taken_is_exit_2(tmp_path, capsys):
 
 def test_cli_start_up_does_not_import_numpy():
     src = str(Path(codlib.__file__).parents[1])
+    env = {"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"}  # no .pyc in src/
     proc = subprocess.run(
         [sys.executable, "-c", "import codlib.cli, sys; print('numpy' in sys.modules)"],
-        capture_output=True, text=True, env={"PYTHONPATH": src}, check=True,
+        capture_output=True, text=True, env=env, check=True,
     )
     assert proc.stdout == "False\n"
 
@@ -243,9 +244,10 @@ def test_cli_start_up_does_not_import_numpy():
 def _loaded_modules(cwd, code):
     """The modules that a fresh interpreter holds after running `code` in `cwd`."""
     src = str(Path(codlib.__file__).parents[1])
+    env = {"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"}  # no .pyc in src/
     proc = subprocess.run(
         [sys.executable, "-c", code + "\nimport sys; print(*sys.modules, file=sys.stderr)"],
-        capture_output=True, text=True, env={"PYTHONPATH": src}, check=True, cwd=cwd,
+        capture_output=True, text=True, env=env, check=True, cwd=cwd,
     )
     return set(proc.stderr.split())
 

@@ -11,6 +11,8 @@ from codlib.fileio import (
     design_to_csv,
     design_to_json,
     design_to_latex,
+    op_from_line,
+    op_to_line,
     ops_from_text,
     ops_to_text,
 )
@@ -87,9 +89,39 @@ def test_op_log_format():
     from codlib import ColPerm, ConjVar, NegRow
 
     text = ops_to_text(
-        [NegRow(3), ConjVar(construct_g(2).variables()[0]), ColPerm((2, 1, 3))]
+        [NegRow(3), ConjVar(construct_g(2).ids[0]), ColPerm((2, 1, 3))]
     )
     assert text == "negrow 3\nconjvar 1100\ncolperm 2 1 3\n"
+
+
+def test_op_log_writes_and_reads_every_kind():
+    from codlib import ColPerm, ConjVar, NegCol, NegRow, NegVar, RenameVar, RowPerm
+
+    a, b = BitVec.from_string("1100"), BitVec.from_string("0011")
+    ops = [RowPerm((2, 1)), ColPerm((1,)), ConjVar(a), NegVar(b), RenameVar(a, b),
+           NegRow(3), NegCol(2)]
+    text = ops_to_text(ops)
+    assert text == ("rowperm 2 1\ncolperm 1\nconjvar 1100\nnegvar 0011\n"
+                    "renamevar 1100 0011\nnegrow 3\nnegcol 2\n")
+    assert ops_from_text(text) == ops
+    with pytest.raises(TypeError):
+        op_to_line(a)
+
+
+@pytest.mark.parametrize("line", [
+    "negrow 3 4", "negrow", "negcol 1 2", "conjvar 1100 junk", "conjvar",
+    "negvar 1100 0011", "renamevar 1100 0011 1111", "renamevar 1100",
+    "negrow x", "conjvar 12", "rowperm 1 x", "flip 1", "  ",
+])
+def test_op_line_rejects_a_malformed_line(line):
+    with pytest.raises(MalformedFileError):
+        op_from_line(line)
+
+
+def test_op_log_error_names_its_line():
+    with pytest.raises(MalformedFileError, match=r"\(at line 3\)$") as exc:
+        ops_from_text("negrow 1\n\nnegrow 3 4\nnegcol 1\n")
+    assert exc.value.location == "line 3"
 
 
 def test_csv_and_latex_exports():
@@ -113,7 +145,7 @@ def _reference_json(cod):
         }
         for r in range(1, cod.p + 1)
         for c in range(1, cod.n + 1)
-        if (e := cod.entry(r, c)) is not None
+        if (e := cod.cells[r - 1][c - 1]) is not None
     ]
     doc = {
         "format": "cod-design",

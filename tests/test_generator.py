@@ -37,7 +37,7 @@ def test_theta_requires_nonzero_bit():
 def test_construct_g_m1():
     g = construct_g(1)
     assert (g.p, g.n, g.k) == (1, 1, 1)
-    e = g.entry(1, 1)
+    e = g.cells[0][0]
     # the entry rules put the single weight-2 row in the conjugated class
     assert e.var == bv("10") and e.conj and e.sign == -1
     assert verify_symbolic(g).ok
@@ -72,7 +72,7 @@ def test_construct_g_row_conjugation_split():
         g = construct_g(m)
         for r in range(1, g.p + 1):
             rid = row_id(g, r)
-            entries = [e for e in g.row(r) if e is not None]
+            entries = [e for e in g.cells[r - 1] if e is not None]
             if rid.bit(2 * m):
                 assert len(entries) == m and all(e.conj for e in entries)
             else:

@@ -2,7 +2,6 @@ import functools
 import json
 import random
 from array import array
-from collections import Counter
 from dataclasses import fields
 
 import pytest
@@ -24,8 +23,8 @@ from codlib import (
 )
 from codlib.errors import ParameterError
 from codlib.fileio import design_from_json, design_to_json
-from codlib.model import VerificationReport, gram_entry
-from conftest import make_eq3
+from codlib.model import gram_entry
+from conftest import instances, make_eq3, reference_verify_symbolic
 
 
 def test_zero_patterns_of_known_design(eq3):
@@ -49,6 +48,13 @@ def test_row_id_examples():
         "1011",
         "0111",
     ]
+
+
+def test_row_id_rejects_a_row_out_of_range():
+    g = construct_g(2)
+    for row in (0, -1, g.p + 1):
+        with pytest.raises(IndexError):
+            row_id(g, row)
 
 
 def test_row_id_rejects_mixed_conjugation():
@@ -80,7 +86,7 @@ def test_verify_symbolic_negated_cell_fails_exactly_its_pairs(m):
         (r, c)
         for r in range(1, g.p + 1)
         for c in range(1, g.n + 1)
-        if g.entry(r, c) is not None
+        if g.cells[r - 1][c - 1] is not None
     ]
     for r, c in random.Random(m).sample(nonzero, 6):
         rows = [list(row) for row in g.cells]
@@ -89,7 +95,7 @@ def test_verify_symbolic_negated_cell_fails_exactly_its_pairs(m):
         expected = {
             tuple(sorted((c, b)))
             for b in range(1, g.n + 1)
-            if b != c and g.entry(r, b) is not None
+            if b != c and g.cells[r - 1][b - 1] is not None
         }
         got = [where for where, _ in report.failures]
         assert got == sorted(expected)
@@ -112,33 +118,6 @@ def test_verify_symbolic_catches_bad_diagonal():
     cod = CodMatrix.from_rows(1, [[Entry(v)], [Entry(v)]])
     report = verify_symbolic(cod)
     assert not report.ok
-
-
-def reference_verify_symbolic(cod):
-    """The column-pair check: expand every Gram entry with `gram_entry`."""
-    expected_diag = {
-        ((v.mask, v.length, False), (v.mask, v.length, True)): 1
-        for v in cod.variables()
-    }
-    support = [
-        [r for r, row in enumerate(cod.cells) if row[c] is not None]
-        for c in range(cod.n)
-    ]
-    failures = []
-    for a in range(cod.n):
-        in_a = set(support[a])
-        for b in range(a, cod.n):
-            shared = [r for r in support[b] if r in in_a]
-            acc = gram_entry(cod.cells, a, b, shared)
-            if a == b:
-                residual = Counter(acc)
-                residual.subtract(expected_diag)
-                residual = {k: v for k, v in residual.items() if v}
-                if residual:
-                    failures.append(((a + 1,), residual))
-            elif acc:
-                failures.append(((a + 1, b + 1), acc))
-    return VerificationReport(ok=not failures, failures=failures)
 
 
 def assert_matches_reference(cod):
@@ -217,6 +196,13 @@ EDGE_CASES = {
     "k-0-all-zero": (CodMatrix.from_rows(2, [[None] * 3] * 4), True),
     "n-1": (CodMatrix.from_rows(1, [[Entry(Z1)], [None], [Entry(Z2, -1, True)]]), True),
     "n-1-variable-twice": (CodMatrix.from_rows(1, [[Entry(Z1)], [Entry(Z1, -1)]]), False),
+    # ids of two lengths and one mask, the longer one seen first: the table
+    # order (mask, length) puts it last, and the residual monomial of
+    # columns 1,2 pairs it with the shorter one
+    "equal-masks-two-lengths": (
+        CodMatrix.from_rows(1, [[Entry(BitVec(3, 1)), Entry(BitVec(2, 1))],
+                                [Entry(BitVec(2, 1), 1, True), Entry(BitVec(3, 1), 1, True)]]),
+        False),
 }
 
 
@@ -230,9 +216,9 @@ def test_verify_symbolic_edge_cases_match_the_reference(name):
 def test_verify_symbolic_expands_only_the_failing_entries(monkeypatch, m):
     calls = []
 
-    def counting_gram_entry(cells, a, b, rows):
+    def counting_gram_entry(codes, n, a, b, rows):
         calls.append((a + 1, b + 1))
-        return gram_entry(cells, a, b, rows)
+        return gram_entry(codes, n, a, b, rows)
 
     monkeypatch.setattr(model, "gram_entry", counting_gram_entry)
     g = construct_g(m)
@@ -277,7 +263,7 @@ def test_m_is_derived_from_n(eq3):
     assert [f.name for f in fields(CodMatrix)] == ["p", "n", "codes", "ids"]
     z1, z2 = BitVec.unit(4, 1), BitVec.unit(4, 2)
     cod = CodMatrix.from_rows(1, [[Entry(z2)], [Entry(z1, -1, True)], [Entry(z2, -1)]])
-    assert cod.k == 2 and cod.variables() == (z1, z2)
+    assert cod.k == 2 and cod.ids == (z1, z2)
     for m in (2, 4):
         assert extend_g(m).design.k == construct_g(m).k
 
@@ -300,8 +286,8 @@ def test_instance_pair_pattern_relations(m):
     # opposite conjugation: patterns agree exactly there
     g = construct_g(m)
     patterns = [zero_pattern(g, r) for r in range(1, g.p + 1)]
-    for var in g.variables():
-        inst = g.instances(var)
+    for var in g.ids:
+        inst = instances(g, var)
         for a in range(len(inst)):
             for b in range(a + 1, len(inst)):
                 ra, ca, ea = inst[a]
@@ -317,26 +303,11 @@ def test_instance_pair_pattern_relations(m):
 def test_variable_occurrence_counts():
     for m in (2, 3):
         g = construct_g(m)
-        for var in g.variables():
-            inst = g.instances(var)
+        for var in g.ids:
+            inst = instances(g, var)
             assert len(inst) == 2 * m - 1
             cols = [c for _, c, _ in inst]
             assert sorted(cols) == list(range(1, 2 * m))
-
-
-def test_instances_match_brute_force_scan():
-    s, _ = scramble(construct_g(3), seed=3, count=40)
-    for var in s.variables():
-        scan = [
-            (r, c, s.entry(r, c))
-            for r in range(1, s.p + 1)
-            for c in range(1, s.n + 1)
-            if s.entry(r, c) is not None and s.entry(r, c).var == var
-        ]
-        assert s.instances(var) == scan
-    used = {v.mask for v in s.variables()}
-    unused = next(mask for mask in range(1 << 6) if mask not in used)
-    assert s.instances(BitVec(6, unused)) == []
 
 
 @functools.cache
@@ -372,15 +343,6 @@ def test_code_grid_matches_its_cells(data):
     data.draw(st.randoms(use_true_random=False)).shuffle(doc["entries"])
     loaded = design_from_json(json.dumps(doc))
     assert loaded == cod and hash(loaded) == hash(cod)
-    # the API reads agree with a brute-force scan of the cells
-    for r in range(1, cod.p + 1):
-        assert cod.row(r) == cells[r - 1]
-        for c in range(1, cod.n + 1):
-            assert cod.entry(r, c) == cells[r - 1][c - 1]
+    # the table is the cells' variables, ascending by (mask, length)
     seen = {e.var for row in cells for e in row if e is not None}
-    assert cod.variables() == tuple(sorted(seen, key=lambda v: (v.mask, v.length)))
-    for var in seen:
-        assert cod.instances(var) == [
-            (r, c, e) for r, row in enumerate(cells, 1) for c, e in enumerate(row, 1)
-            if e is not None and e.var == var
-        ]
+    assert cod.ids == tuple(sorted(seen, key=lambda v: (v.mask, v.length)))

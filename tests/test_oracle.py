@@ -13,13 +13,12 @@ from codlib import (
     canonicalize,
     construct_g,
     enumerate_cods,
-    verify_symbolic,
 )
 from codlib.equivalence import _family_m
 from codlib.errors import ParameterError
 from codlib.model import gram_entry
 from codlib.oracle import EquivalenceClass
-from conftest import make_eq3
+from conftest import make_eq3, reference_gram_entry, reference_verify_symbolic
 
 
 @pytest.fixture(scope="module")
@@ -73,8 +72,11 @@ def test_generated_design_is_in_its_enumerated_class(classes_433):
 
 # -- the flat product loops the depth-first searches replaced ---------------
 
+# The loops below build `Entry` rows and expand Gram entries with
+# `reference_gram_entry`, sharing no search or Gram code with codlib.
 
-def flat_family(spec):
+
+def flat_family(spec, gram=reference_gram_entry, kept=None):
     support = construct_g(_family_m(spec.p, spec.n, spec.k))
     cells = [
         (r, c)
@@ -100,9 +102,11 @@ def flat_family(spec):
         rows = [row[:] for row in base_rows]
         for (r, c), entry in zip(cells, choice):
             rows[r][c] = entry
-        if any(oracle.gram_entry(rows, a, b, shared) for a, b, shared in pairs):
+        if any(gram(rows, a, b, shared) for a, b, shared in pairs):
             continue
         cand = CodMatrix.from_rows(support.m, rows)
+        if kept is not None:
+            kept.append(cand)
         canon = canonicalize(cand)
         if canon in classes:
             classes[canon].count += 1
@@ -135,7 +139,7 @@ def flat_free(spec):
         if len(used) != spec.k:
             continue
         cand = CodMatrix.from_rows((spec.n + 1) // 2, rows)
-        if not verify_symbolic(cand).ok:
+        if not reference_verify_symbolic(cand).ok:
             continue
         try:
             canon = canonicalize(cand)
@@ -159,28 +163,39 @@ def outcome(search, spec):
 def test_family_search_matches_the_flat_loop_with_a_tenth_of_the_gram_entries(
     monkeypatch,
 ):
-    calls = []
+    flat_calls, search_calls = [], []
+
+    def counting_reference(*args):
+        flat_calls.append(1)
+        return reference_gram_entry(*args)
 
     def counting_gram_entry(*args):
-        calls.append(1)
+        search_calls.append(1)
         return gram_entry(*args)
 
     monkeypatch.setattr(oracle, "gram_entry", counting_gram_entry)
+    searched, classify = [], oracle._classify
+
+    def recording_classify(classes, cand):
+        searched.append(cand)
+        classify(classes, cand)
+
+    monkeypatch.setattr(oracle, "_classify", recording_classify)
     spec = SearchSpec(4, 3, 3, "family")
-    want = flat_family(spec)
-    flat_calls = len(calls)
-    calls.clear()
+    flat = []
+    want = flat_family(spec, counting_reference, flat)
     got = enumerate_cods(spec)
     assert got == want  # order, count, canonical and sample
+    assert searched == flat  # every kept design, in the flat product's order
     assert [c.count for c in got] == [512]
-    assert flat_calls >= 290_000  # 4^9 candidates, most rejected at the first pair
-    assert 10 * len(calls) <= flat_calls
+    assert len(flat_calls) >= 290_000  # 4^9 candidates, most rejected at the first pair
+    assert 10 * len(search_calls) <= len(flat_calls)
 
 
 @pytest.mark.parametrize(
     "p, n, k",
     [(1, 1, 1), (2, 1, 1), (1, 2, 1), (2, 2, 1), (2, 2, 2), (1, 1, 5),
-     (1, 3, 1), (3, 2, 1), (2, 1, 0), (1, 0, 1), (0, 2, 1)],
+     (1, 3, 1), (3, 2, 1), (2, 1, 0), (1, 0, 1), (0, 2, 1), (2, 0, 0), (0, 2, 0)],
 )
 def test_free_search_matches_the_flat_loop(p, n, k):
     spec = SearchSpec(p, n, k, "free")

@@ -26,6 +26,7 @@ def test_unknown_name_is_an_attribute_error():
 
 def test_import_loads_a_submodule_on_first_use():
     src = str(Path(codlib.__file__).parents[1])
+    env = {"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"}  # no .pyc in src/
     code = (
         "import sys, codlib\n"
         "print(sorted(m for m in sys.modules if m.startswith('codlib')))\n"
@@ -34,7 +35,7 @@ def test_import_loads_a_submodule_on_first_use():
     )
     proc = subprocess.run(
         [sys.executable, "-c", code],
-        capture_output=True, text=True, env={"PYTHONPATH": src}, check=True,
+        capture_output=True, text=True, env=env, check=True,
     )
     assert proc.stdout.splitlines() == [
         "['codlib']",
