@@ -133,11 +133,19 @@ class StructuralReport:
 def _check_pattern_relations(cod: CodMatrix) -> CheckResult:
     """Same-variable instance pairs: equal conjugation means the two zero
     patterns differ exactly at the instance columns; opposite conjugation
-    means they agree exactly there."""
+    means they agree exactly there.  Keyed by w = P[r] ^ e_c ^ (full if
+    conjugated), two instances in columns c_i != c_j meet the condition
+    P[r_i] ^ P[r_j] ^ (full if the flags differ) == e_{c_i} ^ e_{c_j} iff
+    w_i == w_j (move one e and one flag term to each side), so only a
+    variable with two keys or a repeated column needs the pair loop."""
     n, codes, patterns = cod.n, cod.codes, cod.patterns
     full = (1 << n) - 1
+    flip, bits = [0, 0, full], [1 << c for c in range(n)]  # flip[conj flag << 1]
     witnesses = []
     for var, positions in zip(cod.ids, cod._instance_index[1:]):
+        keys = {patterns[pos // n] ^ bits[pos % n] ^ flip[codes[pos] & 2] for pos in positions}
+        if len(keys) == 1 and len({pos % n for pos in positions}) == len(positions):
+            continue
         inst = [(*divmod(pos, n), codes[pos] & 2) for pos in positions]
         for a, (ra, ca, xa) in enumerate(inst, 1):
             for rb, cb, xb in inst[a:]:

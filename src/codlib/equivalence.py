@@ -12,8 +12,8 @@ its separation flip and its forced id, and only the output design is built.
 3. replace the sign pattern by the lexicographically minimal element of
    its coset under row and variable negations: the signs become + on the
    greedy spanning forest of the row-variable graph (one edge per nonzero
-   cell, joined in reading order into a `ParityForest`, a union-find with
-   parity), and the other cells follow;
+   cell, joined in reading order by a union-find with parity), and the
+   other cells follow;
 4. sort rows ascending by row identifier.
 
 After step 2 the cell structure is fully determined by the row ids, so the
@@ -31,7 +31,7 @@ from array import array
 from dataclasses import dataclass
 from itertools import compress
 from math import comb
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 from .bitvec import BitVec
 from .errors import InvalidDesignError, ParameterError
@@ -197,40 +197,6 @@ def _family_m(p: int, n: int, k: int) -> int:
     return m
 
 
-class ParityForest:
-    """Union-find with parity over the nodes 0..size-1, union by size.
-
-    Each node has a potential relative to its root; `join` records
-    x[a] ^ x[b] = c on top of the relations already joined.
-    """
-
-    def __init__(self, size: int):
-        self.parent = list(range(size))
-        self.parity = [0] * size
-        self.size = [1] * size
-
-    def find(self, x: int) -> tuple[int, int]:
-        """(root, potential) of node x."""
-        p = 0
-        while self.parent[x] != x:
-            p ^= self.parity[x]
-            x = self.parent[x]
-        return x, p
-
-    def join(self, a: int, b: int, c: int) -> Optional[int]:
-        """None if the edge joined two trees, else x[a] ^ x[b] ^ c (0: agrees)."""
-        ra, pa = self.find(a)
-        rb, pb = self.find(b)
-        if ra == rb:
-            return pa ^ pb ^ c
-        if self.size[ra] > self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[ra] = rb
-        self.parity[ra] = pa ^ pb ^ c
-        self.size[rb] += self.size[ra]
-        return None
-
-
 def canonicalize(cod: CodMatrix) -> CodMatrix:
     """Unique standard form of a maximal-rate minimal-delay design."""
     m = _family_m(cod.p, cod.n, cod.k)
@@ -288,18 +254,35 @@ def canonicalize(cod: CodMatrix) -> CodMatrix:
     # left to right) builds the greedy spanning forest: a cell is a forest
     # edge exactly when some combination of negations changes it and no
     # earlier cell.  So the coset element that is + on every forest edge is
-    # the least one.
-    forest = ParityForest(p + k)
+    # the least one.  A union-find with parity, union by size, builds it:
+    # parity[x] is x's potential relative to parent[x], fixed once x is linked.
+    parent, parity, size = list(range(p + k)), [0] * (p + k), [1] * (p + k)
+    linked = []  # the nodes in the order they stopped being roots
     order = sorted(range(p), key=ids.__getitem__)
     for r in order:
         for x in filter(None, codes[r * n:r * n + n]):
-            forest.join(r, p - 1 + (x >> 2), x & 1)
+            a, pa, b, pb = r, 0, p - 1 + (x >> 2), x & 1
+            while parent[a] != a:
+                pa ^= parity[a]
+                a = parent[a]
+            while parent[b] != b:
+                pb ^= parity[b]
+                b = parent[b]
+            if a != b:
+                if size[a] > size[b]:
+                    a, b = b, a
+                parent[a], parity[a] = b, pa ^ pb
+                size[b] += size[a]
+                linked.append(a)
+    potential = [0] * (p + k)  # per node, its parity relative to its root
+    for a in reversed(linked):  # a's parent was linked later, or is a root
+        potential[a] = parity[a] ^ potential[parent[a]]
     # out[v]: the renamed var_id << 2 and the variable's negation
     new_id = {mask: i << 2 for i, mask in enumerate(renamed, 1)}
-    out = [0] + [new_id[forced[v]] | forest.find(p - 1 + v)[1] for v in range(1, k + 1)]
+    out = [0] + [new_id[forced[v]] | potential[p - 1 + v] for v in range(1, k + 1)]
     result = array("q")
     for r in order:
-        row_bits = conj[r] << 1 | forest.find(r)[1]
+        row_bits = conj[r] << 1 | potential[r]
         result.extend([
             x and out[x >> 2] ^ (x & 1) ^ row_bits for x in codes[r * n:r * n + n]
         ])

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from array import array
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
 from typing import Optional, Sequence
@@ -65,7 +65,9 @@ class CodMatrix:
     """A p x n symbolic design with k distinct variables.
 
     `codes[r * n + c]` is the code of the 0-based cell (r, c), and `ids`
-    holds each variable that appears, ascending by (mask, length).
+    holds each variable that appears, ascending by (mask, length).  `codes`
+    is read-only after construction: derived state, the Gram report of
+    `verify_symbolic` included, is computed once per design on first use.
     """
 
     p: int
@@ -146,6 +148,11 @@ class CodMatrix:
         return index
 
     @cached_property
+    def _gram_report(self) -> "VerificationReport":
+        """The report of `verify_symbolic`, checked on first use."""
+        return _check_gram(self)
+
+    @cached_property
     def patterns(self) -> list[int]:
         """Per row, the mask of its nonzero columns (bit c for column c+1)."""
         bits = [1 << c for c in range(self.n)]
@@ -202,10 +209,10 @@ def gram_entry(
     return {mono: c for mono, c in acc.items() if c}
 
 
-@dataclass
+@dataclass(frozen=True)
 class VerificationReport:
     ok: bool
-    failures: list[tuple[tuple[int, ...], dict]] = field(default_factory=list)
+    failures: tuple[tuple[tuple[int, ...], dict], ...] = ()
 
 
 def verify_symbolic(cod: CodMatrix) -> VerificationReport:
@@ -213,17 +220,21 @@ def verify_symbolic(cod: CodMatrix) -> VerificationReport:
 
     Off-diagonal Gram entries must cancel to zero; every diagonal entry
     must be exactly the sum of z_j* z_j over all k variables, once each.
-    Failure positions are 1-based columns.
+    Failure positions are 1-based columns.  Each design is checked once.
+    """
+    return cod._gram_report
 
-    The diagonal entry (a, a) holds each variable of column a once per
-    instance, so it is right iff column a holds every variable exactly once.
-    Then the monomial conj(O[r,a]) O[r,b] can cancel only against row
-    r' = the row where column a holds O[r,b]'s variable, and it does iff
-    O[r',b] is O[r,a]'s variable with the other conjugation flag, O[r',a]
-    has the other flag than O[r,b], and the two sign products differ.  One
-    pass over the pairs of nonzero cells in each row checks this; only the
-    entries it finds nonzero, and those of columns whose diagonal fails, are
-    expanded by `gram_entry` to report their residual monomials.
+
+def _check_gram(cod: CodMatrix) -> VerificationReport:
+    """`verify_symbolic`'s check.  The diagonal entry (a, a) holds each
+    variable of column a once per instance, so it is right iff column a
+    holds every variable exactly once.  Then the monomial conj(O[r,a]) O[r,b]
+    can cancel only against row r' = the row where column a holds O[r,b]'s
+    variable, and it does iff O[r',b] is O[r,a]'s variable with the other
+    conjugation flag, O[r',a] has the other flag than O[r,b], and the two
+    sign products differ.  One pass over the pairs of nonzero cells in each
+    row checks this; `gram_entry` expands only the entries it finds nonzero
+    and those of columns whose diagonal fails, to report their residuals.
     """
     n, codes = cod.n, cod.codes
     cols_all = range(n)
@@ -260,8 +271,6 @@ def verify_symbolic(cod: CodMatrix) -> VerificationReport:
                     bad_pairs.add((a, b))
         base += n
 
-    if not (bad_columns or bad_pairs):
-        return VerificationReport(ok=True)
     failures = []
     for a in range(n):
         if a in bad_columns:
@@ -277,11 +286,11 @@ def verify_symbolic(cod: CodMatrix) -> VerificationReport:
                     failures.append(((a + 1, b + 1), acc))
     # only the reported symbols are decoded, to (var mask, var length, conj)
     names = [(v.mask, v.length) for v in cod.ids]
-    failures = [
+    failures = tuple(
         (where, {tuple(names[(s >> 1) - 1] + (bool(s & 1),) for s in mono): c
                  for mono, c in monomials.items() if c})
         for where, monomials in failures
-    ]
+    )
     return VerificationReport(ok=not failures, failures=failures)
 
 

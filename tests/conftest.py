@@ -1,11 +1,13 @@
 import shutil
 import tempfile
 from collections import Counter
+from typing import Optional
 
 import pytest
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from codlib import BitVec, CodMatrix, Entry
+from codlib.analysis import CheckResult
 from codlib.model import VerificationReport
 
 # Hypothesis caches the constants it reads from the source in its home
@@ -84,4 +86,57 @@ def reference_verify_symbolic(cod):
                     failures.append(((a + 1,), residual))
             elif acc:
                 failures.append(((a + 1, b + 1), acc))
-    return VerificationReport(ok=not failures, failures=failures)
+    return VerificationReport(ok=not failures, failures=tuple(failures))
+
+
+class ParityForest:
+    """Union-find with parity over the nodes 0..size-1, union by size.
+
+    Each node has a potential relative to its root; `join` records
+    x[a] ^ x[b] = c on top of the relations already joined.
+    """
+
+    def __init__(self, size: int):
+        self.parent = list(range(size))
+        self.parity = [0] * size
+        self.size = [1] * size
+
+    def find(self, x: int) -> tuple[int, int]:
+        """(root, potential) of node x."""
+        p = 0
+        while self.parent[x] != x:
+            p ^= self.parity[x]
+            x = self.parent[x]
+        return x, p
+
+    def join(self, a: int, b: int, c: int) -> Optional[int]:
+        """None if the edge joined two trees, else x[a] ^ x[b] ^ c (0: agrees)."""
+        ra, pa = self.find(a)
+        rb, pb = self.find(b)
+        if ra == rb:
+            return pa ^ pb ^ c
+        if self.size[ra] > self.size[rb]:
+            ra, rb = rb, ra
+        self.parent[ra] = rb
+        self.parity[ra] = pa ^ pb ^ c
+        self.size[rb] += self.size[ra]
+        return None
+
+
+def reference_pattern_relations(cod) -> CheckResult:
+    """The zero-pattern relations tested pair by pair: every two instances
+    of a variable, in row-major order."""
+    n, codes, patterns = cod.n, cod.codes, cod.patterns
+    full = (1 << n) - 1
+    witnesses = []
+    for var, positions in zip(cod.ids, cod._instance_index[1:]):
+        inst = [(*divmod(pos, n), codes[pos] & 2) for pos in positions]
+        for a, (ra, ca, xa) in enumerate(inst, 1):
+            for rb, cb, xb in inst[a:]:
+                got = patterns[ra] ^ patterns[rb]
+                if xa != xb:
+                    got ^= full
+                if got != 1 << ca | 1 << cb:
+                    cols = [i for i in range(1, n + 1) if got >> (i - 1) & 1]
+                    witnesses.append((var, (ra + 1, ca + 1), (rb + 1, cb + 1), cols))
+    return CheckResult("zero_pattern_relations", not witnesses, witnesses)

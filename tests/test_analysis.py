@@ -1,7 +1,9 @@
+import functools
 from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from codlib import (
     BitVec,
@@ -19,7 +21,7 @@ from codlib import (
     scramble,
     zero_pattern,
 )
-from conftest import instances
+from conftest import instances, reference_pattern_relations
 
 
 def test_extract_bj_known_design(eq3):
@@ -233,3 +235,48 @@ def test_pattern_witnesses_match_bitwise_reference(design):
     cod = design()
     checks = structural_report(cod).checks
     assert [c.witnesses for c in checks[:2]] == _reference_pattern_witnesses(cod)
+
+
+@functools.cache
+def relation_bases():
+    """Scrambles of G_1..G_6 and the extended designs at m = 2, 4, 6."""
+    designs = [scramble(construct_g(m), seed=m, count=30)[0] for m in range(1, 7)]
+    return designs + [extend_g(m).design for m in (2, 4, 6)]
+
+
+RELATION_EDITS = (
+    "none", "negate", "conjugate", "zero", "swap", "twice-in-a-column", "repeated-row",
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(data=st.data())
+def test_pattern_relations_match_the_pairwise_reference(data):
+    cod = data.draw(st.sampled_from(relation_bases()))
+    rows = [list(row) for row in cod.cells]
+    nonzero = [(r, c) for r in range(cod.p) for c in range(cod.n) if rows[r][c] is not None]
+    kind = data.draw(st.sampled_from(RELATION_EDITS))
+    r, c = data.draw(st.sampled_from(nonzero))
+    e = rows[r][c]
+    if kind == "negate":
+        rows[r][c] = e.negated()
+    elif kind == "conjugate":
+        rows[r][c] = e.conjugated()
+    elif kind == "zero":
+        rows[r][c] = None
+    elif kind == "swap":
+        r2, c2 = data.draw(st.sampled_from(nonzero))
+        rows[r][c], rows[r2][c2] = rows[r2][c2], e
+    elif kind == "twice-in-a-column":
+        # another cell of column c takes e's variable: two instances share
+        # a column, the case the one-key rule leaves to the pair loop
+        others = [r2 for r2 in range(cod.p) if r2 != r and rows[r2][c] is not None]
+        if others:
+            r2 = data.draw(st.sampled_from(others))
+            rows[r2][c] = Entry(e.var, rows[r2][c].sign, rows[r2][c].conj)
+    elif kind == "repeated-row":
+        # each variable of row r then sits twice in one column with one key
+        rows.append(rows[r])
+    edited = CodMatrix.from_rows(cod.m, rows)
+    got, want = structural_report(edited).checks[0], reference_pattern_relations(edited)
+    assert (got.name, got.ok, got.witnesses) == (want.name, want.ok, want.witnesses)

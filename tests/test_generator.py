@@ -13,10 +13,10 @@ from codlib import (
     theta,
     verify_symbolic,
 )
-from codlib.equivalence import ParityForest
 from codlib.errors import ParameterError
 import codlib.generator as generator
 from codlib.generator import _odd_walk, row_ids_for
+from conftest import ParityForest
 
 
 def bv(s: str) -> BitVec:

@@ -2,7 +2,7 @@ import functools
 import json
 import random
 from array import array
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,7 +21,8 @@ from codlib import (
     verify_symbolic,
     zero_pattern,
 )
-from codlib.errors import ParameterError
+from codlib.equivalence import canonicalize
+from codlib.errors import InvalidDesignError, ParameterError
 from codlib.fileio import design_from_json, design_to_json
 from codlib.model import gram_entry
 from conftest import instances, make_eq3, reference_verify_symbolic
@@ -233,6 +234,59 @@ def test_verify_symbolic_expands_only_the_failing_entries(monkeypatch, m):
     report = verify_symbolic(CodMatrix.from_rows(m, rows))
     assert calls == [where for where, _ in report.failures]
     assert len(calls) == sum(e is not None for e in rows[r]) - 1
+
+
+def _sign_flipped_g3():
+    rows = [list(row) for row in construct_g(3).cells]
+    rows[0][0] = rows[0][0].negated()
+    return CodMatrix.from_rows(3, rows)
+
+
+def test_verify_symbolic_checks_each_design_once(monkeypatch):
+    calls = []
+
+    def counting_check(cod):
+        calls.append(cod)
+        return check(cod)
+
+    check = model._check_gram
+    monkeypatch.setattr(model, "_check_gram", counting_check)
+    good, bad = scramble(construct_g(3), seed=5, count=20)[0], _sign_flipped_g3()
+    report = verify_symbolic(good)
+    assert report.ok and verify_symbolic(good) is report
+    canonicalize(good)
+    assert len(calls) == 1
+    assert not verify_symbolic(bad).ok and verify_symbolic(bad) is verify_symbolic(bad)
+    with pytest.raises(InvalidDesignError):
+        canonicalize(bad)
+    assert calls == [good, bad] and calls[0] is good
+
+
+def test_canonicalize_rejects_alike_with_or_without_a_prior_check():
+    checked, fresh = _sign_flipped_g3(), _sign_flipped_g3()
+    assert not verify_symbolic(checked).ok
+    errors = []
+    for cod in (checked, fresh):
+        with pytest.raises(InvalidDesignError) as info:
+            canonicalize(cod)
+        errors.append((type(info.value), str(info.value)))
+    assert errors[0] == errors[1]
+
+
+def test_verification_report_is_read_only():
+    report = verify_symbolic(_sign_flipped_g3())
+    assert isinstance(report.failures, tuple)
+    with pytest.raises(FrozenInstanceError):
+        report.ok = True
+    with pytest.raises(FrozenInstanceError):
+        report.failures = ()
+
+
+def test_equality_and_hash_ignore_derived_state():
+    used, fresh = construct_g(3), CodMatrix.from_rows(3, construct_g(3).cells)
+    verify_symbolic(used), used.patterns, used.cells, used._instance_index
+    assert used == fresh and hash(used) == hash(fresh)
+    assert "_gram_report" in vars(used) and "_gram_report" not in vars(fresh)
 
 
 def test_verify_numeric(eq3):
