@@ -25,7 +25,8 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
-from typing import Optional, Sequence
+from types import MappingProxyType
+from typing import Mapping, Optional, Sequence
 
 from .bitvec import BitVec
 from .errors import MixedConjugationError, ParameterError
@@ -197,12 +198,14 @@ def gram_entry(
     """Nonzero monomials of the formal (a, b) entry of O^H O.
 
     `codes` is a row-major grid of cell codes with `n` columns, `a` and `b`
-    are 0-based columns and `rows` lists the 0-based rows where both
-    columns are nonzero.
+    are 0-based columns and `rows` lists the 0-based rows to sum over; a
+    row where either cell is zero adds nothing.
     """
     acc: dict = {}
     for r in rows:
         ca, cb = codes[r * n + a], codes[r * n + b]
+        if not (ca and cb):
+            continue
         sa, sb = ca >> 1 ^ 1, cb >> 1  # column a's factor is conjugated
         mono = (sa, sb) if sa <= sb else (sb, sa)
         acc[mono] = acc.get(mono, 0) + (-1 if (ca ^ cb) & 1 else 1)
@@ -212,7 +215,7 @@ def gram_entry(
 @dataclass(frozen=True)
 class VerificationReport:
     ok: bool
-    failures: tuple[tuple[tuple[int, ...], dict], ...] = ()
+    failures: tuple[tuple[tuple[int, ...], Mapping], ...] = ()
 
 
 def verify_symbolic(cod: CodMatrix) -> VerificationReport:
@@ -274,21 +277,21 @@ def _check_gram(cod: CodMatrix) -> VerificationReport:
     failures = []
     for a in range(n):
         if a in bad_columns:
-            support = [r for r, cols in enumerate(rows) if a in cols]
-            residual = Counter(gram_entry(codes, n, a, a, support))
+            residual = Counter(gram_entry(codes, n, a, a, range(cod.p)))
             residual.subtract({(v << 1, v << 1 | 1): 1 for v in range(1, cod.k + 1)})
             failures.append(((a + 1,), residual))
         for b in range(a + 1, n):
             if (a, b) in bad_pairs or bad_columns & {a, b}:
-                shared = [r for r, cols in enumerate(rows) if a in cols and b in cols]
-                acc = gram_entry(codes, n, a, b, shared)
+                acc = gram_entry(codes, n, a, b, range(cod.p))
                 if acc:
                     failures.append(((a + 1, b + 1), acc))
-    # only the reported symbols are decoded, to (var mask, var length, conj)
+    # only the reported symbols are decoded, to (var mask, var length, conj);
+    # each residual is read-only, as the report is cached on the design
     names = [(v.mask, v.length) for v in cod.ids]
     failures = tuple(
-        (where, {tuple(names[(s >> 1) - 1] + (bool(s & 1),) for s in mono): c
-                 for mono, c in monomials.items() if c})
+        (where, MappingProxyType({
+            tuple(names[(s >> 1) - 1] + (bool(s & 1),) for s in mono): c
+            for mono, c in monomials.items() if c}))
         for where, monomials in failures
     )
     return VerificationReport(ok=not failures, failures=failures)

@@ -25,7 +25,7 @@ from codlib.equivalence import canonicalize
 from codlib.errors import InvalidDesignError, ParameterError
 from codlib.fileio import design_from_json, design_to_json
 from codlib.model import gram_entry
-from conftest import instances, make_eq3, reference_verify_symbolic
+from conftest import instances, make_eq3, reference_gram_entry, reference_verify_symbolic
 
 
 def test_zero_patterns_of_known_design(eq3):
@@ -213,6 +213,28 @@ def test_verify_symbolic_edge_cases_match_the_reference(name):
     assert assert_matches_reference(cod).ok == ok
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(data=st.data())
+def test_gram_entry_skips_rows_with_a_zero_cell(data):
+    m = data.draw(st.integers(2, 4))
+    cod = scramble(construct_g(m), seed=data.draw(st.integers(0, 1 << 16)), count=10)[0]
+    codes = array("q", cod.codes)
+    for pos in data.draw(st.lists(st.integers(0, len(codes) - 1), max_size=cod.p)):
+        codes[pos] = 0
+    zeroed = CodMatrix(cod.p, cod.n, codes, cod.ids)
+    names = [(v.mask, v.length) for v in cod.ids]
+    decode = lambda s: names[(s >> 1) - 1] + (bool(s & 1),)
+    cells = zeroed.cells
+    for a in range(cod.n):
+        for b in range(a, cod.n):
+            got = gram_entry(codes, cod.n, a, b, range(cod.p))
+            rows = [r for r in range(cod.p) if None not in (cells[r][a], cells[r][b])]
+            want = reference_gram_entry(cells, a, b, rows)
+            assert [(tuple(map(decode, mono)), c) for mono, c in got.items()] == list(
+                want.items()
+            )
+
+
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
 def test_verify_symbolic_expands_only_the_failing_entries(monkeypatch, m):
     calls = []
@@ -280,6 +302,17 @@ def test_verification_report_is_read_only():
         report.ok = True
     with pytest.raises(FrozenInstanceError):
         report.failures = ()
+
+
+def test_cached_residuals_are_read_only():
+    design = _sign_flipped_g3()
+    residual = verify_symbolic(design).failures[0][1]
+    with pytest.raises(AttributeError):
+        residual.clear()
+    with pytest.raises(TypeError):
+        residual[next(iter(residual))] = 0
+    assert residual
+    assert verify_symbolic(design) == reference_verify_symbolic(design)
 
 
 def test_equality_and_hash_ignore_derived_state():

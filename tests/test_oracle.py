@@ -115,7 +115,7 @@ def flat_family(spec, gram=reference_gram_entry, kept=None):
     return list(classes.values())
 
 
-def flat_free(spec):
+def flat_free(spec, kept=None):
     if spec.n > 3:
         raise ParameterError("free mode is limited to n <= 3")
     length = max(2, spec.k.bit_length() + 1, spec.k)
@@ -141,6 +141,8 @@ def flat_free(spec):
         cand = CodMatrix.from_rows((spec.n + 1) // 2, rows)
         if not reference_verify_symbolic(cand).ok:
             continue
+        if kept is not None:
+            kept.append(cand)
         try:
             canon = canonicalize(cand)
         except ParameterError:
@@ -202,6 +204,20 @@ def test_free_search_matches_the_flat_loop(p, n, k):
     assert outcome(enumerate_cods, spec) == outcome(flat_free, spec)
 
 
+@pytest.mark.parametrize("p, n, k", [(2, 2, 2), (3, 2, 1)])
+def test_free_search_keeps_designs_in_the_flat_order(monkeypatch, p, n, k):
+    searched, classify = [], oracle._classify
+
+    def recording_classify(classes, cand):
+        searched.append(cand)
+        classify(classes, cand)
+
+    monkeypatch.setattr(oracle, "_classify", recording_classify)
+    spec, flat = SearchSpec(p, n, k, "free"), []
+    assert enumerate_cods(spec) == flat_free(spec, flat)
+    assert searched == flat and flat
+
+
 @pytest.mark.parametrize(
     "spec, flat",
     [
@@ -209,9 +225,10 @@ def test_free_search_matches_the_flat_loop(p, n, k):
         (SearchSpec(5, 3, 3, "family"), flat_family),
         (SearchSpec(2, 2, 2, "free", budget=100), flat_free),
         (SearchSpec(4, 5, 3, "free"), flat_free),
+        (SearchSpec(1, 1, 1, "bogus"), None),
     ],
 )
 def test_search_refuses_like_the_flat_loop(spec, flat):
-    want = outcome(flat, spec)
+    want = outcome(flat, spec) if flat else (ParameterError, "unknown mode 'bogus'")
     assert isinstance(want, tuple) and want[0] in (BudgetExceededError, ParameterError)
     assert outcome(enumerate_cods, spec) == want
