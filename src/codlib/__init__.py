@@ -15,10 +15,8 @@ _EXPORTS = {
         "CodMatrix",
         "Entry",
         "VerificationReport",
-        "row_id",
         "verify_numeric",
         "verify_symbolic",
-        "zero_pattern",
     ),
     "generator": (
         "ExtensionResult",
@@ -43,14 +41,11 @@ _EXPORTS = {
         "scramble",
     ),
     "analysis": (
-        "BjForm",
         "BoundsReport",
         "StructuralReport",
         "bounds",
-        "extract_bj",
         "max_rate",
         "min_delay",
-        "shares_alamouti",
         "structural_report",
     ),
     "oracle": ("EquivalenceClass", "SearchSpec", "enumerate_cods"),
@@ -59,7 +54,6 @@ _EXPORTS = {
         "DesignError",
         "InvalidDesignError",
         "MalformedFileError",
-        "MixedConjugationError",
         "ParameterError",
     ),
 }

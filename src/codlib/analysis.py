@@ -4,77 +4,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
 from math import comb
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 from .bitvec import BitVec
-from .errors import DesignError, ParameterError
+from .errors import ParameterError
 
 if TYPE_CHECKING:  # `bounds` runs without the model
-    from .model import CodMatrix, Entry
-
-
-@dataclass
-class BjForm:
-    """All instances of one variable: plain block, conjugate block, coupling."""
-
-    var: BitVec
-    n1: int  # rows carrying the plain instance
-    n2: int  # rows carrying the conjugate instance
-    top_rows: list[int]
-    bottom_rows: list[int]
-    block: list[list[Optional[Entry]]]  # top rows x conjugate-instance columns
-
-
-def _split(cod: CodMatrix, var_id: int) -> tuple[list[int], list[int]]:
-    """The positions r * n + c of a variable's plain and conjugate instances."""
-    positions = cod._instance_index[var_id]
-    codes = cod.codes
-    return ([pos for pos in positions if not codes[pos] & 2],
-            [pos for pos in positions if codes[pos] & 2])
-
-
-def extract_bj(cod: CodMatrix, var: BitVec) -> BjForm:
-    """Partition the rows containing `var` by conjugation of its instance."""
-    top, bottom = _split(cod, cod.ids.index(var) + 1 if var in cod.ids else 0)
-    if not top and not bottom:
-        raise DesignError(f"variable {var} does not appear")
-    n = cod.n
-    bottom_cols = sorted(pos % n for pos in bottom)
-    return BjForm(
-        var=var,
-        n1=len(top),
-        n2=len(bottom),
-        top_rows=[pos // n + 1 for pos in top],
-        bottom_rows=[pos // n + 1 for pos in bottom],
-        block=[[cod.cells[pos // n][c] for c in bottom_cols] for pos in top],
-    )
-
-
-def shares_alamouti(
-    cod: CodMatrix, row_a: int, row_b: int
-) -> Optional[tuple[int, int]]:
-    """Column pair where the two rows form an Alamouti 2x2, if any.
-
-    The 2x2 block ((z_a, z_b), (-z_b*, z_a*)) is matched up to negation or
-    conjugation of either variable: cross-diagonal cells carry the same
-    variable with opposite conjugation, and the sign product over the four
-    cells is -1.
-    """
-    for row in (row_a, row_b):
-        if not 1 <= row <= cod.p:
-            raise IndexError(f"row {row} out of range 1..{cod.p}")
-    if row_a == row_b:
-        return None
-    n = cod.n
-    a, b = (cod.codes[(row - 1) * n:row * n] for row in (row_a, row_b))
-    for i, j in combinations(range(n), 2):
-        # x >> 1 == 1: the same variable with the other conjugation flag
-        x, y = a[i] ^ b[j], a[j] ^ b[i]
-        if x >> 1 == 1 and y >> 1 == 1 and a[i] >> 2 != a[j] >> 2 and x ^ y == 1:
-            return (i + 1, j + 1)
-    return None
+    from .model import CodMatrix
 
 
 @dataclass
@@ -181,14 +118,15 @@ def _check_block_structure(cod: CodMatrix) -> CheckResult:
     """Maximal-rate shape: each variable splits (m,m-1)/(m-1,m) across
     plain and conjugate instances ((m,m) for n = 2m), and the coupling
     block has no zero entries."""
-    m, n, patterns = cod.m, cod.n, cod.patterns
+    m, n, codes, patterns = cod.m, cod.n, cod.codes, cod.patterns
     if n == 2 * m - 1:
         shapes = {(m, m - 1), (m - 1, m)}
     else:
         shapes = {(m, m)}
     witnesses = []
-    for v, var in enumerate(cod.ids, 1):
-        top, bottom = _split(cod, v)
+    for var, positions in zip(cod.ids, cod._instance_index[1:]):
+        top = [pos for pos in positions if not codes[pos] & 2]
+        bottom = [pos for pos in positions if codes[pos] & 2]
         if (len(top), len(bottom)) not in shapes:
             witnesses.append(("shape", var, (len(top), len(bottom))))
             continue

@@ -93,8 +93,8 @@ def _cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def _residual_line(where: tuple[int, ...], residual: dict) -> str:
-    """`where`'s columns and up to three of its residual monomials.
+def _residual_line(where: tuple[int, ...], residual: tuple) -> str:
+    """`where`'s columns and up to three of its (monomial, coefficient) pairs.
 
     A monomial prints as its coefficient and its two factors, each a
     variable's bit string with `*` when the factor is conjugated.
@@ -103,7 +103,7 @@ def _residual_line(where: tuple[int, ...], residual: dict) -> str:
         f"{coef:+d} " + " ".join(
             f"{BitVec(length, mask)}{'*' if conj else ''}" for mask, length, conj in mono
         )
-        for mono, coef in list(residual.items())[:3]
+        for mono, coef in residual[:3]
     ]
     if len(residual) > 3:
         terms.append("...")

@@ -13,10 +13,6 @@ class InvalidDesignError(DesignError):
     """Input claims to be a COD of the target family but is not."""
 
 
-class MixedConjugationError(InvalidDesignError):
-    """A row mixes conjugated and non-conjugated entries."""
-
-
 class BudgetExceededError(DesignError):
     """Search-space estimate exceeds the configured budget."""
 

@@ -25,11 +25,10 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
-from types import MappingProxyType
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 from .bitvec import BitVec
-from .errors import MixedConjugationError, ParameterError
+from .errors import ParameterError
 
 M_MAX = 8  # desk-scale guard; p = C(2m, m-1) grows fast
 
@@ -161,30 +160,6 @@ class CodMatrix:
         return [sum(compress(bits, codes[i:i + n])) for i in range(0, len(codes), n)]
 
 
-def zero_pattern(cod: CodMatrix, row: int) -> BitVec:
-    """Per-row bit vector: bit i set iff column i holds a nonzero entry."""
-    if not 1 <= row <= cod.p:
-        raise IndexError(f"row {row} out of range 1..{cod.p}")
-    return BitVec(cod.n, cod.patterns[row - 1])
-
-
-def row_id(cod: CodMatrix, row: int) -> BitVec:
-    """Zero pattern extended by one bit recording the row's conjugation flag.
-
-    Requires n = 2m-1 columns and a conjugation-uniform row.
-    """
-    if cod.n != 2 * cod.m - 1:
-        raise ParameterError(
-            f"row ids need n = 2m-1 columns, have n={cod.n}, m={cod.m}"
-        )
-    pat, n = zero_pattern(cod, row), cod.n
-    flags = {code & 2 for code in cod.codes[(row - 1) * n:row * n] if code}
-    if len(flags) > 1:
-        raise MixedConjugationError(f"row {row} mixes conjugation flags")
-    conj = flags.pop() >> 1 if flags else 0
-    return BitVec(n + 1, pat.mask | conj << n)
-
-
 # -- symbolic verification -------------------------------------------------
 
 # A symbol is a factor's var_id << 1 | conj, so symbols sort like the
@@ -214,8 +189,11 @@ def gram_entry(
 
 @dataclass(frozen=True)
 class VerificationReport:
+    """Per failing Gram entry, its 1-based column (a,) or columns (a, b) and
+    its residual, a tuple of (monomial, coefficient) pairs."""
+
     ok: bool
-    failures: tuple[tuple[tuple[int, ...], Mapping], ...] = ()
+    failures: tuple[tuple[tuple[int, ...], tuple], ...] = ()
 
 
 def verify_symbolic(cod: CodMatrix) -> VerificationReport:
@@ -286,12 +264,12 @@ def _check_gram(cod: CodMatrix) -> VerificationReport:
                 if acc:
                     failures.append(((a + 1, b + 1), acc))
     # only the reported symbols are decoded, to (var mask, var length, conj);
-    # each residual is read-only, as the report is cached on the design
+    # tuples keep the report, cached on the design, read-only and picklable
     names = [(v.mask, v.length) for v in cod.ids]
     failures = tuple(
-        (where, MappingProxyType({
-            tuple(names[(s >> 1) - 1] + (bool(s & 1),) for s in mono): c
-            for mono, c in monomials.items() if c}))
+        (where, tuple(
+            (tuple(names[(s >> 1) - 1] + (bool(s & 1),) for s in mono), c)
+            for mono, c in monomials.items() if c))
         for where, monomials in failures
     )
     return VerificationReport(ok=not failures, failures=failures)

@@ -45,6 +45,13 @@ def instances(cod: CodMatrix, var: BitVec) -> list[tuple[int, int, Entry]]:
             for c, e in enumerate(row, 1) if e is not None and e.var == var]
 
 
+def row_ids(cod: CodMatrix) -> list[BitVec]:
+    """Each row's zero pattern, plus bit n+1 if it holds a conjugated cell."""
+    n, codes = cod.n, cod.codes
+    conj = [any(code & 2 for code in codes[i:i + n]) for i in range(0, len(codes), n)]
+    return [BitVec(n + 1, pat | flag << n) for pat, flag in zip(cod.patterns, conj)]
+
+
 def reference_gram_entry(cells, a, b, rows) -> dict:
     """Nonzero monomials of the formal (a, b) entry of O^H O, on `Entry` rows.
 
@@ -81,11 +88,11 @@ def reference_verify_symbolic(cod):
             if a == b:
                 residual = Counter(acc)
                 residual.subtract(expected_diag)
-                residual = {k: v for k, v in residual.items() if v}
+                residual = tuple((k, v) for k, v in residual.items() if v)
                 if residual:
                     failures.append(((a + 1,), residual))
             elif acc:
-                failures.append(((a + 1, b + 1), acc))
+                failures.append(((a + 1, b + 1), tuple(acc.items())))
     return VerificationReport(ok=not failures, failures=tuple(failures))
 
 

@@ -16,16 +16,14 @@ from codlib import (
     extend_g,
     max_rate,
     min_delay,
-    row_id,
     scramble,
     theta,
     verify_numeric,
     verify_symbolic,
-    zero_pattern,
 )
 from codlib.bitvec import BitVec
 from codlib.fileio import design_to_json
-from conftest import make_eq3
+from conftest import make_eq3, row_ids
 
 
 def report(name: str, ok: bool) -> None:
@@ -60,7 +58,7 @@ def test_criterion_1_generation_and_verification():
 def test_criterion_2_paper_golden_design():
     eq3 = make_eq3()
     ok = verify_symbolic(eq3).ok
-    patterns = [str(zero_pattern(eq3, r)) for r in range(1, 5)]
+    patterns = [str(BitVec(eq3.n, pat)) for pat in eq3.patterns]
     ok &= patterns == ["111", "110", "101", "011"]
     report("2 golden [4,3,3] design", ok)
 
@@ -149,7 +147,7 @@ def test_criterion_8a_sign_identities():
     for m in (2, 3, 4):
         g = construct_g(m)
         two_m = 2 * m
-        ids = [row_id(g, r) for r in range(1, g.p + 1)]
+        ids = row_ids(g)
         for a, b, i, j in _alamouti_column_pairs(g, ids):
             for col in (i, j):
                 lhs = (theta(a, col) + theta(b, col)) % 2

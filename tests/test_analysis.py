@@ -8,54 +8,15 @@ from hypothesis import given, settings, strategies as st
 from codlib import (
     BitVec,
     CodMatrix,
-    DesignError,
     Entry,
     construct_g,
     extend_g,
-    extract_bj,
     max_rate,
     min_delay,
-    row_id,
-    shares_alamouti,
     structural_report,
     scramble,
-    zero_pattern,
 )
-from conftest import instances, reference_pattern_relations
-
-
-def test_extract_bj_known_design(eq3):
-    z1 = BitVec.unit(4, 1)
-    bj = extract_bj(eq3, z1)
-    assert (bj.n1, bj.n2) == (1, 2)
-    assert bj.top_rows == [1]
-    assert bj.bottom_rows == [2, 3]
-
-
-def test_extract_bj_standard_design():
-    g = construct_g(2)
-    a = BitVec.from_string("1100")
-    bj = extract_bj(g, a)
-    assert (bj.n1, bj.n2) == (1, 2)
-    assert all(e is not None for row in bj.block for e in row)
-
-
-def test_extract_bj_shape_m3():
-    g = construct_g(3)
-    for var in g.ids:
-        bj = extract_bj(g, var)
-        assert (bj.n1, bj.n2) == (2, 3)
-
-
-def test_extract_bj_missing_variable(eq3):
-    with pytest.raises(DesignError):
-        extract_bj(eq3, BitVec.from_string("1111"))
-
-
-def test_shares_alamouti_known_design(eq3):
-    assert shares_alamouti(eq3, 1, 2) == (1, 2)
-    assert shares_alamouti(eq3, 2, 3) is None
-    assert shares_alamouti(eq3, 2, 2) is None
+from conftest import instances, reference_pattern_relations, row_ids
 
 
 def _reference_shares_alamouti(cod, row_a, row_b):
@@ -74,35 +35,11 @@ def _reference_shares_alamouti(cod, row_a, row_b):
     return None
 
 
-def test_shares_alamouti_matches_the_cell_reference(eq3):
-    g = construct_g(3)
-    rows = [list(row) for row in g.cells]
-    rows[0] = [e and e.negated() for e in rows[0][:2]] + rows[0][2:]
-    rows[1][0] = rows[1][0] and rows[1][0].conjugated()
-    z = BitVec.unit(2, 1)
-    designs = [eq3, scramble(g, seed=3, count=40)[0], CodMatrix.from_rows(3, rows),
-               CodMatrix.from_rows(1, [[Entry(z)]] * 2),
-               # one variable in all four cells: no Alamouti block
-               CodMatrix.from_rows(1, [[Entry(z), Entry(z, 1, True)],
-                                       [Entry(z), Entry(z, -1, True)]])]
-    found = 0
-    for cod in designs:
-        for row_a in range(1, cod.p + 1):
-            for row_b in range(1, cod.p + 1):
-                want = _reference_shares_alamouti(cod, row_a, row_b)
-                assert shares_alamouti(cod, row_a, row_b) == want
-                found += want is not None
-    assert found >= 100
-    for row_a, row_b in ((0, 1), (1, 5), (5, 4), (5, 5)):
-        with pytest.raises(IndexError):
-            shares_alamouti(eq3, row_a, row_b)
-
-
 def test_shares_alamouti_characterization_on_g():
     # rows share an Alamouti 2x2 exactly when their ids differ by e^e_i^e_j
     for m in (2, 3):
         g = construct_g(m)
-        ids = [row_id(g, r) for r in range(1, g.p + 1)]
+        ids = row_ids(g)
         e = BitVec.ones(2 * m)
         for x in range(1, g.p + 1):
             for y in range(x + 1, g.p + 1):
@@ -114,7 +51,7 @@ def test_shares_alamouti_characterization_on_g():
                         v.bit(i) and v.bit(j) for v in (ids[x - 1], ids[y - 1])
                     ):
                         predicted = (i, j)
-                assert shares_alamouti(g, x, y) == predicted
+                assert _reference_shares_alamouti(g, x, y) == predicted
 
 
 def test_max_rate_values():
@@ -156,9 +93,7 @@ def test_structural_report_g5():
     g = construct_g(3)
     report = structural_report(g)
     assert report.ok
-    from codlib import zero_pattern
-
-    weights = [zero_pattern(g, r).weight() for r in range(1, g.p + 1)]
+    weights = [pat.bit_count() for pat in g.patterns]
     assert weights.count(4) == 5 and weights.count(3) == 10
 
 
@@ -178,7 +113,7 @@ def test_structural_report_missing_row(eq3):
 
 def _reference_pattern_witnesses(cod):
     """Both zero-pattern checks bit by bit, on BitVec supports."""
-    patterns = [zero_pattern(cod, r) for r in range(1, cod.p + 1)]
+    patterns = [BitVec(cod.n, pat) for pat in cod.patterns]
     relations = []
     for var in cod.ids:
         inst = instances(cod, var)
@@ -235,6 +170,43 @@ def test_pattern_witnesses_match_bitwise_reference(design):
     cod = design()
     checks = structural_report(cod).checks
     assert [c.witnesses for c in checks[:2]] == _reference_pattern_witnesses(cod)
+
+
+def _reference_block_witnesses(cod):
+    """The block-structure check on `Entry` cells: each variable's split
+    into plain and conjugate instances, then its coupling block."""
+    m = cod.m
+    shapes = {(m, m - 1), (m - 1, m)} if cod.n == 2 * m - 1 else {(m, m)}
+    witnesses = []
+    for var in cod.ids:
+        inst = instances(cod, var)
+        top = [r for r, _, e in inst if not e.conj]
+        cols = [c for _, c, e in inst if e.conj]
+        if (len(top), len(cols)) not in shapes:
+            witnesses.append(("shape", var, (len(top), len(cols))))
+        elif any(cod.cells[r - 1][c - 1] is None for r in top for c in cols):
+            witnesses.append(("zero-in-coupling-block", var))
+    return witnesses
+
+
+def _move_a_cell_to_a_zero_column(rows):
+    r = next(r for r, row in enumerate(rows) if None in row)
+    c = next(c for c, e in enumerate(rows[r]) if e is not None)
+    rows[r][rows[r].index(None)], rows[r][c] = rows[r][c], None
+
+
+@pytest.mark.parametrize("edit, kinds", [
+    (lambda rows: None, set()),
+    (lambda rows: rows[0].__setitem__(0, rows[0][0].conjugated()), {"shape"}),
+    (lambda rows: rows[0].__setitem__(0, None), {"shape", "zero-in-coupling-block"}),
+    (_move_a_cell_to_a_zero_column, {"zero-in-coupling-block"}),
+    (lambda rows: rows.pop(4), {"shape"}),
+], ids=["g3", "conjugated-cell", "zeroed-cell", "moved-cell", "dropped-row"])
+def test_block_witnesses_match_the_cell_reference(edit, kinds):
+    cod = _edited_g3(edit)
+    got = structural_report(cod).checks[2]
+    assert got.witnesses == _reference_block_witnesses(cod)
+    assert {w[0] for w in got.witnesses} == kinds and got.ok == (not kinds)
 
 
 @functools.cache

@@ -47,7 +47,7 @@ def test_verify_detects_invalid(tmp_path, g2_file, capsys):
 
 def test_residual_line_names_at_most_three_monomials():
     z = [(mask, 2, conj) for mask in (1, 2) for conj in (False, True)]
-    residual = {(z[0], z[1]): 1, (z[0], z[3]): -1, (z[2], z[3]): 2, (z[1], z[2]): -3}
+    residual = (((z[0], z[1]), 1), ((z[0], z[3]), -1), ((z[2], z[3]), 2), ((z[1], z[2]), -3))
     assert _residual_line((2,), residual) == (
         "residual at column 2: 4 monomials: +1 10 10*, -1 10 01*, +2 01 01*, ..."
     )

@@ -9,14 +9,13 @@ from codlib import (
     check_certificate,
     construct_g,
     extend_g,
-    row_id,
     theta,
     verify_symbolic,
 )
 from codlib.errors import ParameterError
 import codlib.generator as generator
 from codlib.generator import _odd_walk, row_ids_for
-from conftest import ParityForest
+from conftest import ParityForest, row_ids
 
 
 def bv(s: str) -> BitVec:
@@ -70,9 +69,8 @@ def test_construct_g_dimensions_and_validity(m):
 def test_construct_g_row_conjugation_split():
     for m in (2, 3):
         g = construct_g(m)
-        for r in range(1, g.p + 1):
-            rid = row_id(g, r)
-            entries = [e for e in g.cells[r - 1] if e is not None]
+        for rid, row in zip(row_ids(g), g.cells):
+            entries = [e for e in row if e is not None]
             if rid.bit(2 * m):
                 assert len(entries) == m and all(e.conj for e in entries)
             else:
@@ -91,7 +89,7 @@ def test_theta_pair_identity():
     # theta(a,i) + theta(b,i) = wt_{i,2m}(a^b) + i (mod 2)
     for m in (2, 3, 4):
         g = construct_g(m)
-        ids = [row_id(g, r) for r in range(1, g.p + 1)]
+        ids = row_ids(g)
         e = BitVec.ones(2 * m)
         for x in range(len(ids)):
             for y in range(x + 1, len(ids)):
@@ -113,7 +111,7 @@ def test_alamouti_sign_parity():
     # the 2x2 determinant-sign condition: the four thetas sum to 1 (mod 2)
     for m in (2, 3, 4):
         g = construct_g(m)
-        ids = [row_id(g, r) for r in range(1, g.p + 1)]
+        ids = row_ids(g)
         e = BitVec.ones(2 * m)
         for x in range(len(ids)):
             for y in range(x + 1, len(ids)):
@@ -135,11 +133,9 @@ def test_alamouti_sign_parity():
 
 
 def test_zero_pattern_completeness_of_g():
-    from codlib import zero_pattern
-
     for m in (2, 3):
         g = construct_g(m)
-        pats = {zero_pattern(g, r).mask for r in range(1, g.p + 1)}
+        pats = set(g.patterns)
         assert len(pats) == g.p
         expected = {
             v
@@ -204,8 +200,7 @@ def test_closed_form_solves_the_extension_system(m):
     g = CodMatrix.from_rows(m, [row[:-1] for row in res.design.cells])
     e_2m = BitVec.unit(2 * m, 2 * m)
     phi = {}
-    for r, x in enumerate((row[-1] for row in res.design.cells), start=1):
-        alpha = row_id(g, r)
+    for alpha, x in zip(row_ids(g), (row[-1] for row in res.design.cells)):
         if not alpha.bit(2 * m):
             assert x is None
             continue

@@ -15,7 +15,16 @@ def test_every_public_name_resolves():
     for name in codlib.__all__:
         assert getattr(codlib, name) is namespace[name]
     assert set(codlib.__all__) <= set(dir(codlib))
-    assert len(set(codlib.__all__)) == len(codlib.__all__) == 44
+    assert len(set(codlib.__all__)) == len(codlib.__all__) == 38
+
+
+@pytest.mark.parametrize("name", [
+    "row_id", "zero_pattern", "shares_alamouti", "extract_bj", "BjForm",
+    "MixedConjugationError",
+])
+def test_removed_name_is_an_attribute_error(name):
+    with pytest.raises(AttributeError):
+        getattr(codlib, name)
 
 
 def test_unknown_name_is_an_attribute_error():
