@@ -41,9 +41,7 @@ _EXPORTS = {
         "scramble",
     ),
     "analysis": (
-        "BoundsReport",
         "StructuralReport",
-        "bounds",
         "max_rate",
         "min_delay",
         "structural_report",

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import TYPE_CHECKING
@@ -12,14 +12,6 @@ from .errors import ParameterError
 
 if TYPE_CHECKING:  # `bounds` runs without the model
     from .model import CodMatrix
-
-
-@dataclass
-class BoundsReport:
-    n: int
-    m: int
-    max_rate: Fraction
-    min_delay: int
 
 
 def max_rate(n: int) -> Fraction:
@@ -39,23 +31,14 @@ def min_delay(n: int) -> int:
     return 2 * base if n % 4 == 2 else base
 
 
-BOUNDS_N_MAX = 10000  # the delay C(2m,m-1) stays below Python's 4300-digit str limit
-
-
-def bounds(n: int) -> BoundsReport:
-    if n > BOUNDS_N_MAX:
-        raise ParameterError(f"n must be <= {BOUNDS_N_MAX}, got {n}")
-    m = (n + 1) // 2
-    return BoundsReport(
-        n=n, m=m, max_rate=max_rate(n), min_delay=min_delay(n)
-    )
-
-
 @dataclass
 class CheckResult:
     name: str
-    ok: bool
-    witnesses: list = field(default_factory=list)
+    witnesses: list
+
+    @property
+    def ok(self) -> bool:
+        return not self.witnesses
 
 
 @dataclass
@@ -92,7 +75,7 @@ def _check_pattern_relations(cod: CodMatrix) -> CheckResult:
                 if got != 1 << ca | 1 << cb:
                     cols = [i for i in range(1, n + 1) if got >> (i - 1) & 1]
                     witnesses.append((var, (ra + 1, ca + 1), (rb + 1, cb + 1), cols))
-    return CheckResult("zero_pattern_relations", not witnesses, witnesses)
+    return CheckResult("zero_pattern_relations", witnesses)
 
 
 def _check_pattern_completeness(cod: CodMatrix) -> CheckResult:
@@ -111,7 +94,7 @@ def _check_pattern_completeness(cod: CodMatrix) -> CheckResult:
     expected = sum(comb(cod.n, w) for w in admissible)
     if not witnesses and len(seen) != expected:
         witnesses.append(("missing-patterns", expected - len(seen)))
-    return CheckResult("zero_pattern_completeness", not witnesses, witnesses)
+    return CheckResult("zero_pattern_completeness", witnesses)
 
 
 def _check_block_structure(cod: CodMatrix) -> CheckResult:
@@ -133,7 +116,7 @@ def _check_block_structure(cod: CodMatrix) -> CheckResult:
         block = sum({1 << pos % n for pos in bottom})  # the conjugate-instance columns
         if any(patterns[pos // n] & block != block for pos in top):
             witnesses.append(("zero-in-coupling-block", var))
-    return CheckResult("block_structure", not witnesses, witnesses)
+    return CheckResult("block_structure", witnesses)
 
 
 def structural_report(cod: CodMatrix) -> StructuralReport:

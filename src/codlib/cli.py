@@ -152,12 +152,16 @@ def _cmd_extend(args) -> int:
     return EXIT_FALSE
 
 
-def _cmd_bounds(args) -> int:
-    from .analysis import bounds
+BOUNDS_N_MAX = 10000  # the delay C(2m,m-1) stays below Python's 4300-digit str limit
 
-    rep = bounds(args.n)
-    print(f"rate {rep.max_rate}")
-    print(f"delay {rep.min_delay}")
+
+def _cmd_bounds(args) -> int:
+    from .analysis import max_rate, min_delay
+
+    if args.n > BOUNDS_N_MAX:
+        raise ParameterError(f"n must be <= {BOUNDS_N_MAX}, got {args.n}")
+    print(f"rate {max_rate(args.n)}")
+    print(f"delay {min_delay(args.n)}")
     return EXIT_OK
 
 

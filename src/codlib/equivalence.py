@@ -134,7 +134,7 @@ def apply_ops(cod: CodMatrix, ops: Sequence[EquivOp]) -> CodMatrix:
     for r, rn in rows:
         base = r * n
         codes.extend(map(list.__getitem__, by_row[rn], [src[base + c] for c in picks]))
-    return CodMatrix._from_codes(cod.p, n, codes, out_ids)
+    return CodMatrix._from_codes(n, codes, out_ids)
 
 
 def scramble(
@@ -286,7 +286,7 @@ def canonicalize(cod: CodMatrix) -> CodMatrix:
         result.extend([
             x and out[x >> 2] ^ (x & 1) ^ row_bits for x in codes[r * n:r * n + n]
         ])
-    return CodMatrix(p, n, result, tuple(BitVec(2 * m, mask) for mask in renamed))
+    return CodMatrix(n, result, tuple(BitVec(2 * m, mask) for mask in renamed))
 
 
 def equivalent(a: CodMatrix, b: CodMatrix) -> bool:

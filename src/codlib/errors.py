@@ -14,7 +14,7 @@ class InvalidDesignError(DesignError):
 
 
 class BudgetExceededError(DesignError):
-    """Search-space estimate exceeds the configured budget."""
+    """Search-space estimate exceeds the oracle's fixed budget."""
 
     def __init__(self, estimate: int, budget: int):
         self.estimate = estimate

@@ -164,7 +164,7 @@ def design_from_json(text: str) -> CodMatrix:
         raise MalformedFileError(
             f"declared k={k} but {len(table)} distinct variables appear", "k"
         )
-    return CodMatrix._from_codes(p, n, codes, table)
+    return CodMatrix._from_codes(n, codes, table)
 
 
 # -- certificates ----------------------------------------------------------

@@ -92,7 +92,7 @@ def _build_g(m: int, extend: bool = False) -> CodMatrix:
                 codes.append(var_ids[a ^ top] | phi ^ pin)
             else:
                 codes.append(0)
-    return CodMatrix(len(ids), n + 1 if extend else n, codes, tuple(BitVec(two_m, v) for v in masks))
+    return CodMatrix(n + 1 if extend else n, codes, tuple(BitVec(two_m, v) for v in masks))
 
 
 # -- the extension column --------------------------------------------------
@@ -103,9 +103,6 @@ class InconsistencyCertificate:
     """Closed walk of constraints whose parities XOR to 1."""
 
     constraints: list[Constraint]
-
-    def parity(self) -> int:
-        return sum(c for _, _, c in self.constraints) % 2
 
 
 def check_certificate(m: int, constraints: list[Constraint]) -> bool:

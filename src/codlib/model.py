@@ -70,13 +70,17 @@ class CodMatrix:
     `verify_symbolic` included, is computed once per design on first use.
     """
 
-    p: int
     n: int
     codes: array
     ids: tuple[BitVec, ...]
 
     def __hash__(self) -> int:
-        return hash((self.p, self.n, self.codes.tobytes(), self.ids))
+        return hash((self.n, self.codes.tobytes(), self.ids))
+
+    @property
+    def p(self) -> int:
+        """The number of rows."""
+        return len(self.codes) // self.n
 
     @property
     def m(self) -> int:
@@ -91,8 +95,7 @@ class CodMatrix:
     @classmethod
     def from_rows(cls, m: int, rows: Sequence[Sequence[Cell]]) -> "CodMatrix":
         """Build a design; `m` must equal (n+1)//2 for the rows' n columns."""
-        p = len(rows)
-        if p == 0:
+        if not rows:
             raise ParameterError("design needs at least one row")
         n = len(rows[0])
         if n == 0:
@@ -107,12 +110,10 @@ class CodMatrix:
             0 if e is None else var_ids[e.var] | e.conj << 1 | (e.sign < 0)
             for row in rows for e in row
         ])
-        return cls(p, n, codes, tuple(ids))
+        return cls(n, codes, tuple(ids))
 
     @classmethod
-    def _from_codes(
-        cls, p: int, n: int, codes: array, ids: Sequence[BitVec]
-    ) -> "CodMatrix":
+    def _from_codes(cls, n: int, codes: array, ids: Sequence[BitVec]) -> "CodMatrix":
         """A design whose codes name ids[i] by var_id i + 1, in any order of
         `ids`; the table is sorted and the codes follow it."""
         order = sorted(range(len(ids)), key=lambda i: id_order(ids[i]))
@@ -122,7 +123,7 @@ class CodMatrix:
                 for flags in range(4):
                     recode[old + 1 << 2 | flags] = new << 2 | flags
             codes = array("q", map(recode.__getitem__, codes))
-        return cls(p, n, codes, tuple(ids[i] for i in order))
+        return cls(n, codes, tuple(ids[i] for i in order))
 
     @cached_property
     def cells(self) -> tuple[tuple[Cell, ...], ...]:
@@ -192,8 +193,11 @@ class VerificationReport:
     """Per failing Gram entry, its 1-based column (a,) or columns (a, b) and
     its residual, a tuple of (monomial, coefficient) pairs."""
 
-    ok: bool
-    failures: tuple[tuple[tuple[int, ...], tuple], ...] = ()
+    failures: tuple[tuple[tuple[int, ...], tuple], ...]
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
 
 
 def verify_symbolic(cod: CodMatrix) -> VerificationReport:
@@ -272,7 +276,7 @@ def _check_gram(cod: CodMatrix) -> VerificationReport:
             for mono, c in monomials.items() if c))
         for where, monomials in failures
     )
-    return VerificationReport(ok=not failures, failures=failures)
+    return VerificationReport(failures)
 
 
 def verify_numeric(

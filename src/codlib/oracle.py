@@ -17,7 +17,7 @@ come out in the order of the flat product over all cells.
 * free: every cell ranges over zero and all signed, optionally conjugated
   variables, in the order 0, then v << 2 | flags for each var_id v and
   flags in (0, 2, 1, 3).  Only sensible for very small p*n; guarded by
-  the budget.
+  `BUDGET`, like the family mode.
 
 Column pair (a, b) is checked at the later of its two cells in the last
 row where both may be nonzero.  Where some cell has a choice of variable,
@@ -41,7 +41,7 @@ from .errors import BudgetExceededError, ParameterError
 from .generator import construct_g
 from .model import CodMatrix, gram_entry, verify_symbolic
 
-DEFAULT_BUDGET = 1 << 26
+BUDGET = 1 << 26  # candidates in the flat product
 
 
 @dataclass
@@ -50,7 +50,6 @@ class SearchSpec:
     n: int
     k: int
     mode: str = "family"  # "family" or "free"
-    budget: int = DEFAULT_BUDGET
 
 
 @dataclass
@@ -88,8 +87,7 @@ def _depth_first(
                 i += 1
 
 
-def _classify(classes: dict[CodMatrix, EquivalenceClass], cand: CodMatrix) -> None:
-    canon = canonicalize(cand)
+def _classify(classes: dict, cand: CodMatrix, canon: CodMatrix) -> None:
     if canon in classes:
         classes[canon].count += 1
     else:
@@ -121,8 +119,8 @@ def enumerate_cods(spec: SearchSpec) -> list[EquivalenceClass]:
     """All equivalence classes of CODs matching the spec, with member counts."""
     choices, ids = _choices(spec)
     estimate = prod(map(len, choices))
-    if estimate > spec.budget:
-        raise BudgetExceededError(estimate, spec.budget)
+    if estimate > BUDGET:
+        raise BudgetExceededError(estimate, BUDGET)
     p, n = spec.p, spec.n
     if spec.k and not p * n:
         return []  # no cell to hold the k variables
@@ -151,15 +149,17 @@ def enumerate_cods(spec: SearchSpec) -> list[EquivalenceClass]:
                 return False
         return True
 
+    # Every candidate has the spec's [p, n, k]; outside the canonicalizable
+    # family each design is its own class.
+    try:
+        _family_m(p, n, spec.k)
+        canonical = canonicalize
+    except ParameterError:
+        canonical = lambda cod: cod  # the search keeps no design twice
+
     classes: dict[CodMatrix, EquivalenceClass] = {}
-    singles: list[EquivalenceClass] = []
     for _ in _depth_first(choices, place):
-        cand = CodMatrix(p, n, array("q", grid), ids)
-        if not verify_symbolic(cand).ok:
-            continue
-        try:
-            _classify(classes, cand)
-        except ParameterError:
-            # outside the canonicalizable family: count each as its own class
-            singles.append(EquivalenceClass(cand, 1, cand))
-    return list(classes.values()) + singles
+        cand = CodMatrix(n, array("q", grid), ids)
+        if verify_symbolic(cand).ok:
+            _classify(classes, cand, canonical(cand))
+    return list(classes.values())

@@ -93,7 +93,7 @@ def reference_verify_symbolic(cod):
                     failures.append(((a + 1,), residual))
             elif acc:
                 failures.append(((a + 1, b + 1), tuple(acc.items())))
-    return VerificationReport(ok=not failures, failures=tuple(failures))
+    return VerificationReport(tuple(failures))
 
 
 class ParityForest:
@@ -146,4 +146,4 @@ def reference_pattern_relations(cod) -> CheckResult:
                 if got != 1 << ca | 1 << cb:
                     cols = [i for i in range(1, n + 1) if got >> (i - 1) & 1]
                     witnesses.append((var, (ra + 1, ca + 1), (rb + 1, cb + 1), cols))
-    return CheckResult("zero_pattern_relations", not witnesses, witnesses)
+    return CheckResult("zero_pattern_relations", witnesses)

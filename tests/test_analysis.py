@@ -1,4 +1,5 @@
 import functools
+from dataclasses import fields
 from fractions import Fraction
 from math import comb
 
@@ -16,6 +17,7 @@ from codlib import (
     structural_report,
     scramble,
 )
+from codlib.analysis import CheckResult
 from conftest import instances, reference_pattern_relations, row_ids
 
 
@@ -82,6 +84,12 @@ def test_bounds_input_validation():
     with pytest.raises(ValueError):
         min_delay(0)
     assert min_delay(1) == 1  # C(2,0), the p of construct_g(1)
+
+
+def test_check_result_ok_is_derived_from_its_witnesses():
+    assert [f.name for f in fields(CheckResult)] == ["name", "witnesses"]
+    assert CheckResult("x", []).ok
+    assert not CheckResult("x", ["w"]).ok
 
 
 def test_structural_report_known_design(eq3):

@@ -286,7 +286,7 @@ def test_unexpected_exception_is_exit_4(monkeypatch, capsys):
     def boom(n):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr("codlib.analysis.bounds", boom)
+    monkeypatch.setattr("codlib.analysis.max_rate", boom)
     assert run("bounds", "-n", "6") == 4
     assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"
 
@@ -322,6 +322,14 @@ def test_bounds(capsys):
     assert "rate 2/3" in out and "delay 30" in out
     assert run("bounds", "-n", "1") == 0
     assert capsys.readouterr().out == "rate 1\ndelay 1\n"
+
+
+def test_bounds_guard(capsys):
+    assert run("bounds", "-n", "10001") == 2
+    assert capsys.readouterr() == ("", "error: n must be <= 10000, got 10001\n")
+    assert run("bounds", "-n", "10000") == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "rate 5001/10000" and out[1].startswith("delay ")
 
 
 def test_scramble_round_trip(tmp_path, g2_file):

@@ -200,7 +200,7 @@ def test_gram_entry_skips_rows_with_a_zero_cell(data):
     codes = array("q", cod.codes)
     for pos in data.draw(st.lists(st.integers(0, len(codes) - 1), max_size=cod.p)):
         codes[pos] = 0
-    zeroed = CodMatrix(cod.p, cod.n, codes, cod.ids)
+    zeroed = CodMatrix(cod.n, codes, cod.ids)
     names = [(v.mask, v.length) for v in cod.ids]
     decode = lambda s: names[(s >> 1) - 1] + (bool(s & 1),)
     cells = zeroed.cells
@@ -332,13 +332,30 @@ def test_m_is_derived_from_n(eq3):
     assert eq3.m == 2
     with pytest.raises(ParameterError):
         CodMatrix.from_rows(3, [list(r) for r in eq3.cells])
-    # k is the size of the variable table; it is not stored
-    assert [f.name for f in fields(CodMatrix)] == ["p", "n", "codes", "ids"]
+    # p is the number of rows of the grid and k the size of the variable
+    # table; neither is stored
+    assert [f.name for f in fields(CodMatrix)] == ["n", "codes", "ids"]
     z1, z2 = BitVec.unit(4, 1), BitVec.unit(4, 2)
     cod = CodMatrix.from_rows(1, [[Entry(z2)], [Entry(z1, -1, True)], [Entry(z2, -1)]])
     assert cod.k == 2 and cod.ids == (z1, z2)
     for m in (2, 4):
         assert extend_g(m).design.k == construct_g(m).k
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_p_is_derived_from_the_grid(m):
+    g = construct_g(m)
+    for cod in (g, scramble(g, seed=m, count=20)[0]):
+        assert cod.p * cod.n == len(cod.codes) and cod.p == len(cod.cells)
+
+
+def test_verification_report_ok_is_derived_from_its_failures(eq3):
+    assert [f.name for f in fields(model.VerificationReport)] == ["failures"]
+    assert model.VerificationReport(()).ok
+    rows = [list(r) for r in eq3.cells]
+    rows[1][0] = rows[1][0].negated()
+    failures = verify_symbolic(CodMatrix.from_rows(2, rows)).failures
+    assert model.VerificationReport(failures[:1]).ok is False
 
 
 def test_verify_numeric_trivial():
@@ -410,7 +427,7 @@ def test_code_grid_matches_its_cells(data):
     recode = {v << 2 | flags: order.index(v - 1) + 1 << 2 | flags
               for v in range(1, cod.k + 1) for flags in range(4)}
     codes = array("q", [recode.get(code, 0) for code in cod.codes])
-    other = CodMatrix._from_codes(cod.p, cod.n, codes, ids)
+    other = CodMatrix._from_codes(cod.n, codes, ids)
     assert other == cod and hash(other) == hash(cod)
     doc = json.loads(design_to_json(cod))
     data.draw(st.randoms(use_true_random=False)).shuffle(doc["entries"])

@@ -1,3 +1,4 @@
+from dataclasses import fields
 from itertools import combinations, product
 from typing import Optional
 
@@ -51,8 +52,21 @@ def test_free_enumeration_111():
 
 
 def test_budget_refusal():
+    assert oracle.BUDGET == 1 << 26
     with pytest.raises(BudgetExceededError):
-        enumerate_cods(SearchSpec(p=4, n=3, k=3, mode="family", budget=100))
+        enumerate_cods(SearchSpec(p=15, n=5, k=10, mode="family"))  # 4^50
+
+
+def test_search_depth_is_not_bounded_by_the_recursion_limit():
+    # 1,200 one-option cells: the one candidate is the all-zero design
+    classes = enumerate_cods(SearchSpec(400, 3, 0, "free"))
+    assert [c.count for c in classes] == [1]
+    assert classes[0].canonical == classes[0].sample
+    assert not any(classes[0].sample.codes)
+
+
+def test_search_spec_fields():
+    assert [f.name for f in fields(SearchSpec)] == ["p", "n", "k", "mode"]
 
 
 def test_family_mode_rejects_non_family_parameters():
@@ -85,8 +99,8 @@ def flat_family(spec, gram=reference_gram_entry, kept=None):
         if e is not None
     ]
     estimate = 4 ** len(cells)
-    if estimate > spec.budget:
-        raise BudgetExceededError(estimate, spec.budget)
+    if estimate > oracle.BUDGET:
+        raise BudgetExceededError(estimate, oracle.BUDGET)
     pairs = [
         (a, b, [r for r, row in enumerate(support.cells)
                 if row[a] is not None and row[b] is not None])
@@ -127,8 +141,8 @@ def flat_free(spec, kept=None):
                 options.append(Entry(v, sign, conj))
     n_cells = spec.p * spec.n
     estimate = len(options) ** n_cells
-    if estimate > spec.budget:
-        raise BudgetExceededError(estimate, spec.budget)
+    if estimate > oracle.BUDGET:
+        raise BudgetExceededError(estimate, oracle.BUDGET)
     classes = {}
     singles = []
     for choice in product(options, repeat=n_cells):
@@ -178,9 +192,9 @@ def test_family_search_matches_the_flat_loop_with_a_tenth_of_the_gram_entries(
     monkeypatch.setattr(oracle, "gram_entry", counting_gram_entry)
     searched, classify = [], oracle._classify
 
-    def recording_classify(classes, cand):
+    def recording_classify(classes, cand, canon):
         searched.append(cand)
-        classify(classes, cand)
+        classify(classes, cand, canon)
 
     monkeypatch.setattr(oracle, "_classify", recording_classify)
     spec = SearchSpec(4, 3, 3, "family")
@@ -208,9 +222,9 @@ def test_free_search_matches_the_flat_loop(p, n, k):
 def test_free_search_keeps_designs_in_the_flat_order(monkeypatch, p, n, k):
     searched, classify = [], oracle._classify
 
-    def recording_classify(classes, cand):
+    def recording_classify(classes, cand, canon):
         searched.append(cand)
-        classify(classes, cand)
+        classify(classes, cand, canon)
 
     monkeypatch.setattr(oracle, "_classify", recording_classify)
     spec, flat = SearchSpec(p, n, k, "free"), []
@@ -221,9 +235,9 @@ def test_free_search_keeps_designs_in_the_flat_order(monkeypatch, p, n, k):
 @pytest.mark.parametrize(
     "spec, flat",
     [
-        (SearchSpec(4, 3, 3, "family", budget=100), flat_family),
+        (SearchSpec(15, 5, 10, "family"), flat_family),  # 4^50 candidates
         (SearchSpec(5, 3, 3, "family"), flat_family),
-        (SearchSpec(2, 2, 2, "free", budget=100), flat_free),
+        (SearchSpec(3, 3, 3, "free"), flat_free),  # 13^9 candidates
         (SearchSpec(4, 5, 3, "free"), flat_free),
         (SearchSpec(1, 1, 1, "bogus"), None),
     ],
