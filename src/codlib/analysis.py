@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import TYPE_CHECKING
 
-from .bitvec import BitVec
+from .bitvec import BitVec, Record
 from .errors import ParameterError
 
 if TYPE_CHECKING:  # `bounds` runs without the model
@@ -31,19 +30,18 @@ def min_delay(n: int) -> int:
     return 2 * base if n % 4 == 2 else base
 
 
-@dataclass
-class CheckResult:
-    name: str
-    witnesses: list
+class CheckResult(Record):
+    def __init__(self, name: str, witnesses: list):
+        self.name, self.witnesses = name, witnesses
 
     @property
     def ok(self) -> bool:
         return not self.witnesses
 
 
-@dataclass
-class StructuralReport:
-    checks: list[CheckResult]
+class StructuralReport(Record):
+    def __init__(self, checks: list[CheckResult]):
+        self.checks = checks
 
     @property
     def ok(self) -> bool:

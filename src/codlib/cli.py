@@ -72,8 +72,10 @@ def _cmd_verify(args) -> int:
         ok = check_certificate(*_read_file(args.file, certificate_from_json))
         print("certificate valid" if ok else "certificate INVALID")
         return EXIT_OK if ok else EXIT_FALSE
-    from .model import verify_numeric, verify_symbolic
+    from .model import check_numeric_options, verify_numeric, verify_symbolic
 
+    if args.numeric:  # a bad option fails before the file is read
+        check_numeric_options(args.trials, args.tol)
     cod = _read_file(args.file)
     report = verify_symbolic(cod)
     if not report.ok:

@@ -28,50 +28,49 @@ from __future__ import annotations
 import bisect
 import random
 from array import array
-from dataclasses import dataclass
 from itertools import compress
 from math import comb
 from typing import Sequence, Union
 
-from .bitvec import BitVec
+from .bitvec import BitVec, FrozenRecord
 from .errors import InvalidDesignError, ParameterError
 from .model import CodMatrix, id_order, verify_symbolic
 
 
-@dataclass(frozen=True)
-class RowPerm:
-    perm: tuple[int, ...]  # new row r takes old row perm[r-1]
+class RowPerm(FrozenRecord):
+    def __init__(self, perm: tuple[int, ...]):  # new row r takes old row perm[r-1]
+        self._set("perm", perm)
 
 
-@dataclass(frozen=True)
-class ColPerm:
-    perm: tuple[int, ...]
+class ColPerm(FrozenRecord):
+    def __init__(self, perm: tuple[int, ...]):
+        self._set("perm", perm)
 
 
-@dataclass(frozen=True)
-class ConjVar:
-    var: BitVec
+class ConjVar(FrozenRecord):
+    def __init__(self, var: BitVec):
+        self._set("var", var)
 
 
-@dataclass(frozen=True)
-class NegVar:
-    var: BitVec
+class NegVar(FrozenRecord):
+    def __init__(self, var: BitVec):
+        self._set("var", var)
 
 
-@dataclass(frozen=True)
-class RenameVar:
-    old: BitVec
-    new: BitVec
+class RenameVar(FrozenRecord):
+    def __init__(self, old: BitVec, new: BitVec):
+        self._set("old", old)
+        self._set("new", new)
 
 
-@dataclass(frozen=True)
-class NegRow:
-    row: int
+class NegRow(FrozenRecord):
+    def __init__(self, row: int):
+        self._set("row", row)
 
 
-@dataclass(frozen=True)
-class NegCol:
-    col: int
+class NegCol(FrozenRecord):
+    def __init__(self, col: int):
+        self._set("col", col)
 
 
 EquivOp = Union[RowPerm, ColPerm, ConjVar, NegVar, RenameVar, NegRow, NegCol]

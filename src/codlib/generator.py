@@ -13,11 +13,10 @@ the certificate that no such column exists.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
-from .bitvec import BitVec
+from .bitvec import BitVec, Record
 from .errors import ParameterError
 from .model import M_MAX, CodMatrix
 
@@ -98,11 +97,11 @@ def _build_g(m: int, extend: bool = False) -> CodMatrix:
 # -- the extension column --------------------------------------------------
 
 
-@dataclass
-class InconsistencyCertificate:
+class InconsistencyCertificate(Record):
     """Closed walk of constraints whose parities XOR to 1."""
 
-    constraints: list[Constraint]
+    def __init__(self, constraints: list[Constraint]):
+        self.constraints = constraints
 
 
 def check_certificate(m: int, constraints: list[Constraint]) -> bool:
@@ -147,16 +146,19 @@ def check_certificate(m: int, constraints: list[Constraint]) -> bool:
     return closes_from(constraints[0][0]) or closes_from(constraints[0][1])
 
 
-@dataclass
-class ExtensionResult:
+class ExtensionResult(Record):
     """Outcome of attempting to append column 2m to the standard design.
 
     Exactly one of design or certificate is set; the new column is the
     last column of `design`.
     """
 
-    design: Optional[CodMatrix] = None
-    certificate: Optional[InconsistencyCertificate] = None
+    def __init__(
+        self,
+        design: Optional[CodMatrix] = None,
+        certificate: Optional[InconsistencyCertificate] = None,
+    ):
+        self.design, self.certificate = design, certificate
 
     @property
     def exists(self) -> bool:

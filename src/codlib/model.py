@@ -22,28 +22,33 @@ from __future__ import annotations
 import math
 from array import array
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
 from typing import Optional, Sequence
 
-from .bitvec import BitVec
+from .bitvec import BitVec, FrozenRecord
 from .errors import ParameterError
 
 M_MAX = 8  # desk-scale guard; p = C(2m, m-1) grows fast
 
 
-@dataclass(frozen=True)
-class Entry:
+class Entry(FrozenRecord):
     """One nonzero cell: sign * var, conjugated if conj is set."""
 
-    var: BitVec
-    sign: int = 1
-    conj: bool = False
+    def __init__(self, var: BitVec, sign: int = 1, conj: bool = False):
+        if sign not in (1, -1):
+            raise ValueError(f"sign must be +1 or -1, got {sign}")
+        self._set("var", var)
+        self._set("sign", sign)
+        self._set("conj", conj)
 
-    def __post_init__(self):
-        if self.sign not in (1, -1):
-            raise ValueError(f"sign must be +1 or -1, got {self.sign}")
+    def __eq__(self, other):
+        if other.__class__ is Entry:
+            return self.var == other.var and self.sign == other.sign and self.conj == other.conj
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.var, self.sign, self.conj))
 
     def negated(self) -> "Entry":
         return Entry(self.var, -self.sign, self.conj)
@@ -60,19 +65,25 @@ def id_order(var: BitVec) -> tuple[int, int]:
     return var.mask, var.length
 
 
-@dataclass(frozen=True)
-class CodMatrix:
+class CodMatrix(FrozenRecord):
     """A p x n symbolic design with k distinct variables.
 
     `codes[r * n + c]` is the code of the 0-based cell (r, c), and `ids`
     holds each variable that appears, ascending by (mask, length).  `codes`
     is read-only after construction: derived state, the Gram report of
-    `verify_symbolic` included, is computed once per design on first use.
+    `verify_symbolic` included, is computed once per design on first use
+    and is no part of equality or the hash.
     """
 
-    n: int
-    codes: array
-    ids: tuple[BitVec, ...]
+    def __init__(self, n: int, codes: array, ids: tuple[BitVec, ...]):
+        self._set("n", n)
+        self._set("codes", codes)
+        self._set("ids", ids)
+
+    def __eq__(self, other):
+        if other.__class__ is CodMatrix:
+            return self.n == other.n and self.codes == other.codes and self.ids == other.ids
+        return NotImplemented
 
     def __hash__(self) -> int:
         return hash((self.n, self.codes.tobytes(), self.ids))
@@ -188,12 +199,12 @@ def gram_entry(
     return {mono: c for mono, c in acc.items() if c}
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(FrozenRecord):
     """Per failing Gram entry, its 1-based column (a,) or columns (a, b) and
     its residual, a tuple of (monomial, coefficient) pairs."""
 
-    failures: tuple[tuple[tuple[int, ...], tuple], ...]
+    def __init__(self, failures: tuple[tuple[tuple[int, ...], tuple], ...]):
+        self._set("failures", failures)
 
     @property
     def ok(self) -> bool:
@@ -279,14 +290,19 @@ def _check_gram(cod: CodMatrix) -> VerificationReport:
     return VerificationReport(failures)
 
 
-def verify_numeric(
-    cod: CodMatrix, trials: int = 10, seed: int = 0, tol: float = 1e-9
-) -> bool:
-    """Substitute seeded pseudorandom complex values and check the Gram residual."""
+def check_numeric_options(trials: int, tol: float) -> None:
+    """Raise ParameterError unless `verify_numeric` can run with these options."""
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
     if not (math.isfinite(tol) and tol > 0):
         raise ParameterError(f"tol must be finite and positive, got {tol}")
+
+
+def verify_numeric(
+    cod: CodMatrix, trials: int = 10, seed: int = 0, tol: float = 1e-9
+) -> bool:
+    """Substitute seeded pseudorandom complex values and check the Gram residual."""
+    check_numeric_options(trials, tol)
     import numpy as np  # only this check needs numpy; keep it off start-up
 
     rng = np.random.default_rng(seed)

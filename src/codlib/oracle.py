@@ -30,12 +30,11 @@ nonexistence claims at desk scale.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from itertools import combinations
 from math import prod
 from typing import Callable, Iterator
 
-from .bitvec import BitVec
+from .bitvec import BitVec, Record
 from .equivalence import _family_m, canonicalize
 from .errors import BudgetExceededError, ParameterError
 from .generator import construct_g
@@ -44,19 +43,14 @@ from .model import CodMatrix, gram_entry, verify_symbolic
 BUDGET = 1 << 26  # candidates in the flat product
 
 
-@dataclass
-class SearchSpec:
-    p: int
-    n: int
-    k: int
-    mode: str = "family"  # "family" or "free"
+class SearchSpec(Record):
+    def __init__(self, p: int, n: int, k: int, mode: str = "family"):  # or "free"
+        self.p, self.n, self.k, self.mode = p, n, k, mode
 
 
-@dataclass
-class EquivalenceClass:
-    canonical: CodMatrix
-    count: int
-    sample: CodMatrix
+class EquivalenceClass(Record):
+    def __init__(self, canonical: CodMatrix, count: int, sample: CodMatrix):
+        self.canonical, self.count, self.sample = canonical, count, sample
 
 
 def _depth_first(

@@ -31,18 +31,34 @@ def test_generate_and_verify(g2_file):
     assert run("verify", str(g2_file), "--numeric", "--trials", "5", "--seed", "3") == 0
 
 
-def test_verify_detects_invalid(tmp_path, g2_file, capsys):
+@pytest.fixture
+def bad_file(tmp_path, g2_file):
     doc = json.loads(g2_file.read_text())
     doc["entries"][0]["sign"] = "+"  # cell (1,1): -z(0110) becomes +z(0110)
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(doc))
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_verify_detects_invalid(bad_file, capsys):
     capsys.readouterr()
-    assert run("verify", str(bad)) == 1
+    assert run("verify", str(bad_file)) == 1
     assert capsys.readouterr().out.splitlines() == [
         "residual at columns 1,2: 1 monomial: -2 1010 0110*",
         "residual at columns 1,3: 1 monomial: +2 1100 0110*",
         "not orthogonal",
     ]
+
+
+@pytest.mark.parametrize("option, err", [
+    (["--trials", "0"], "error: trials must be >= 1, got 0\n"),
+    (["--tol", "nan"], "error: tol must be finite and positive, got nan\n"),
+], ids=["trials", "tol"])
+def test_verify_rejects_a_numeric_option_before_the_design(g2_file, bad_file, capsys, option, err):
+    capsys.readouterr()
+    for design in (g2_file, bad_file):  # orthogonal, then not
+        assert run("verify", str(design), "--numeric", *option) == 2
+        assert capsys.readouterr() == ("", err)
 
 
 def test_residual_line_names_at_most_three_monomials():
@@ -280,6 +296,7 @@ def test_cli_command_loads_only_what_it_runs(tmp_path, command):
     assert ("analysis" in ours) == (command in ("bounds", "analyze"))
     assert ("fileio" in ours) == (command != "bounds")
     assert ("numpy" in loaded) == (command == "verify --numeric")
+    assert "dataclasses" not in loaded
 
 
 def test_unexpected_exception_is_exit_4(monkeypatch, capsys):

@@ -4,7 +4,6 @@ import json
 import pickle
 import random
 from array import array
-from dataclasses import FrozenInstanceError, fields
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -277,10 +276,12 @@ def test_canonicalize_rejects_alike_with_or_without_a_prior_check():
 def test_verification_report_is_read_only():
     report = verify_symbolic(_sign_flipped_g3())
     assert isinstance(report.failures, tuple)
-    with pytest.raises(FrozenInstanceError):
+    failures = report.failures
+    with pytest.raises(AttributeError):
         report.ok = True
-    with pytest.raises(FrozenInstanceError):
+    with pytest.raises(AttributeError):
         report.failures = ()
+    assert report.ok is False and report.failures is failures
 
 
 def test_cached_residuals_are_read_only():
@@ -334,7 +335,7 @@ def test_m_is_derived_from_n(eq3):
         CodMatrix.from_rows(3, [list(r) for r in eq3.cells])
     # p is the number of rows of the grid and k the size of the variable
     # table; neither is stored
-    assert [f.name for f in fields(CodMatrix)] == ["n", "codes", "ids"]
+    assert CodMatrix._fields == ("n", "codes", "ids")
     z1, z2 = BitVec.unit(4, 1), BitVec.unit(4, 2)
     cod = CodMatrix.from_rows(1, [[Entry(z2)], [Entry(z1, -1, True)], [Entry(z2, -1)]])
     assert cod.k == 2 and cod.ids == (z1, z2)
@@ -350,7 +351,7 @@ def test_p_is_derived_from_the_grid(m):
 
 
 def test_verification_report_ok_is_derived_from_its_failures(eq3):
-    assert [f.name for f in fields(model.VerificationReport)] == ["failures"]
+    assert model.VerificationReport._fields == ("failures",)
     assert model.VerificationReport(()).ok
     rows = [list(r) for r in eq3.cells]
     rows[1][0] = rows[1][0].negated()
