@@ -2,19 +2,22 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
 from typing import TYPE_CHECKING
 
 from .bitvec import BitVec, Record
 from .errors import ParameterError
 
-if TYPE_CHECKING:  # `bounds` runs without the model
+if TYPE_CHECKING:  # `bounds` runs without the model, `analyze` without `fractions`
+    from fractions import Fraction
+
     from .model import CodMatrix
 
 
 def max_rate(n: int) -> Fraction:
     """Tight rate bound (m+1)/(2m) with m = ceil(n/2)."""
+    from fractions import Fraction  # it loads `decimal`; only `bounds` prints a rate
+
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
     m = (n + 1) // 2
@@ -48,7 +51,7 @@ class StructuralReport(Record):
         return all(c.ok for c in self.checks)
 
 
-def _check_pattern_relations(cod: CodMatrix) -> CheckResult:
+def _check_pattern_relations(cod: CodMatrix, index: list[list[int]]) -> CheckResult:
     """Same-variable instance pairs: equal conjugation means the two zero
     patterns differ exactly at the instance columns; opposite conjugation
     means they agree exactly there.  Keyed by w = P[r] ^ e_c ^ (full if
@@ -60,7 +63,7 @@ def _check_pattern_relations(cod: CodMatrix) -> CheckResult:
     full = (1 << n) - 1
     flip, bits = [0, 0, full], [1 << c for c in range(n)]  # flip[conj flag << 1]
     witnesses = []
-    for var, positions in zip(cod.ids, cod._instance_index[1:]):
+    for var, positions in zip(cod.ids, index):
         keys = {patterns[pos // n] ^ bits[pos % n] ^ flip[codes[pos] & 2] for pos in positions}
         if len(keys) == 1 and len({pos % n for pos in positions}) == len(positions):
             continue
@@ -95,7 +98,7 @@ def _check_pattern_completeness(cod: CodMatrix) -> CheckResult:
     return CheckResult("zero_pattern_completeness", witnesses)
 
 
-def _check_block_structure(cod: CodMatrix) -> CheckResult:
+def _check_block_structure(cod: CodMatrix, index: list[list[int]]) -> CheckResult:
     """Maximal-rate shape: each variable splits (m,m-1)/(m-1,m) across
     plain and conjugate instances ((m,m) for n = 2m), and the coupling
     block has no zero entries."""
@@ -105,7 +108,7 @@ def _check_block_structure(cod: CodMatrix) -> CheckResult:
     else:
         shapes = {(m, m)}
     witnesses = []
-    for var, positions in zip(cod.ids, cod._instance_index[1:]):
+    for var, positions in zip(cod.ids, index):
         top = [pos for pos in positions if not codes[pos] & 2]
         bottom = [pos for pos in positions if codes[pos] & 2]
         if (len(top), len(bottom)) not in shapes:
@@ -118,10 +121,15 @@ def _check_block_structure(cod: CodMatrix) -> CheckResult:
 
 
 def structural_report(cod: CodMatrix) -> StructuralReport:
+    # index[var_id - 1]: the positions r * n + c of the variable's cells, row-major
+    index: list[list[int]] = [[] for _ in cod.ids]
+    for pos, code in enumerate(cod.codes):
+        if code:
+            index[(code >> 2) - 1].append(pos)
     return StructuralReport(
         checks=[
-            _check_pattern_relations(cod),
+            _check_pattern_relations(cod, index),
             _check_pattern_completeness(cod),
-            _check_block_structure(cod),
+            _check_block_structure(cod, index),
         ]
     )

@@ -226,12 +226,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check orthogonality, or validate a certificate")
     p.add_argument("file")
-    p.add_argument("--numeric", action="store_true")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--numeric", action="store_true")
+    mode.add_argument("--certificate", action="store_true",
+                      help="treat FILE as an inconsistency certificate")
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--certificate", action="store_true",
-                   help="treat FILE as an inconsistency certificate")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("canonicalize", help="compute the unique standard form")

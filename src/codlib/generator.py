@@ -46,14 +46,14 @@ def _check_m(m: int) -> None:
         raise ParameterError(f"m must be in 1..{M_MAX}, got {m}")
 
 
+def _masks(length: int, weight: int) -> list[int]:
+    """The masks of `length` bits with `weight` ones, ascending."""
+    return sorted(sum(1 << c for c in pos) for pos in combinations(range(length), weight))
+
+
 def row_ids_for(m: int) -> list[BitVec]:
     """All weight-(m+1) vectors in F_2^{2m}, ascending by mask."""
-    ids = [
-        BitVec(2 * m, sum(1 << (i - 1) for i in pos))
-        for pos in combinations(range(1, 2 * m + 1), m + 1)
-    ]
-    ids.sort(key=lambda v: v.mask)
-    return ids
+    return [BitVec(2 * m, a) for a in _masks(2 * m, m + 1)]
 
 
 def construct_g(m: int) -> CodMatrix:
@@ -65,18 +65,16 @@ def construct_g(m: int) -> CodMatrix:
 def _build_g(m: int, extend: bool = False) -> CodMatrix:
     """G, one row per id of `row_ids_for(m)`; with `extend`, also the 2m-th
     column that `extend_g` derives for even m."""
-    ids = row_ids_for(m)
     two_m, n = 2 * m, 2 * m - 1
     e = (1 << two_m) - 1
     top = 1 << n  # e_2m: the row is conjugated
     even = sum(1 << c for c in range(1, n, 2))  # the even columns 2, 4, ..., 2m-2
     # the variables are the weight-m masks below e_2m
-    masks = sorted(sum(1 << c for c in pos) for pos in combinations(range(n), m))
+    masks = _masks(n, m)
     var_ids = {v: i << 2 for i, v in enumerate(masks, 1)}
     codes = array("q")
     pin = None
-    for alpha in ids:
-        a = alpha.mask
+    for a in _masks(two_m, m + 1):
         conj = a >> n
         flip = e if conj else 0
         codes.extend([

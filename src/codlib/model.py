@@ -42,14 +42,6 @@ class Entry(FrozenRecord):
         self._set("sign", sign)
         self._set("conj", conj)
 
-    def __eq__(self, other):
-        if other.__class__ is Entry:
-            return self.var == other.var and self.sign == other.sign and self.conj == other.conj
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.var, self.sign, self.conj))
-
     def negated(self) -> "Entry":
         return Entry(self.var, -self.sign, self.conj)
 
@@ -115,18 +107,19 @@ class CodMatrix(FrozenRecord):
             raise ParameterError("rows have unequal lengths")
         if m != (n + 1) // 2:
             raise ParameterError(f"m={m} but n={n} needs m={(n + 1) // 2}")
-        ids = sorted({e.var for row in rows for e in row if e is not None}, key=id_order)
-        var_ids = {v: i << 2 for i, v in enumerate(ids, 1)}
+        var_ids: dict[BitVec, int] = {}  # variable -> var_id << 2, in order of first use
         codes = array("q", [
-            0 if e is None else var_ids[e.var] | e.conj << 1 | (e.sign < 0)
+            0 if e is None else
+            var_ids.setdefault(e.var, len(var_ids) + 1 << 2) | e.conj << 1 | (e.sign < 0)
             for row in rows for e in row
         ])
-        return cls(n, codes, tuple(ids))
+        return cls._from_codes(n, codes, list(var_ids))
 
     @classmethod
     def _from_codes(cls, n: int, codes: array, ids: Sequence[BitVec]) -> "CodMatrix":
         """A design whose codes name ids[i] by var_id i + 1, in any order of
-        `ids`; the table is sorted and the codes follow it."""
+        `ids`; the table is sorted and the codes follow it.  The encoders of
+        unordered tables (`from_rows`, the loader, `apply_ops`) build here."""
         order = sorted(range(len(ids)), key=lambda i: id_order(ids[i]))
         if order != list(range(len(ids))):
             recode = [0] * (4 * len(ids) + 4)  # old code -> new code
@@ -148,16 +141,6 @@ class CodMatrix(FrozenRecord):
         flat = list(map(built.__getitem__, self.codes))
         n = self.n
         return tuple(tuple(flat[i:i + n]) for i in range(0, len(flat), n))
-
-    @cached_property
-    def _instance_index(self) -> list[list[int]]:
-        """index[var_id]: the positions r * n + c of its cells, row-major;
-        index[0] is empty."""
-        index: list[list[int]] = [[] for _ in range(len(self.ids) + 1)]
-        for pos, code in enumerate(self.codes):
-            if code:
-                index[code >> 2].append(pos)
-        return index
 
     @cached_property
     def _gram_report(self) -> "VerificationReport":

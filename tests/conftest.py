@@ -132,12 +132,17 @@ class ParityForest:
 
 def reference_pattern_relations(cod) -> CheckResult:
     """The zero-pattern relations tested pair by pair: every two instances
-    of a variable, in row-major order."""
-    n, codes, patterns = cod.n, cod.codes, cod.patterns
+    of a variable, in row-major order, read off the `Entry` cells."""
+    n = cod.n
     full = (1 << n) - 1
+    patterns = [sum(1 << c for c, e in enumerate(row) if e is not None) for row in cod.cells]
+    found: dict = {var: [] for var in cod.ids}  # var -> its (row, col, conj), 0-based
+    for r, row in enumerate(cod.cells):
+        for c, e in enumerate(row):
+            if e is not None:
+                found[e.var].append((r, c, e.conj))
     witnesses = []
-    for var, positions in zip(cod.ids, cod._instance_index[1:]):
-        inst = [(*divmod(pos, n), codes[pos] & 2) for pos in positions]
+    for var, inst in found.items():
         for a, (ra, ca, xa) in enumerate(inst, 1):
             for rb, cb, xb in inst[a:]:
                 got = patterns[ra] ^ patterns[rb]

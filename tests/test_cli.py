@@ -296,6 +296,7 @@ def test_cli_command_loads_only_what_it_runs(tmp_path, command):
     assert ("analysis" in ours) == (command in ("bounds", "analyze"))
     assert ("fileio" in ours) == (command != "bounds")
     assert ("numpy" in loaded) == (command == "verify --numeric")
+    assert ("fractions" in loaded) == (command == "bounds")
     assert "dataclasses" not in loaded
 
 
@@ -331,6 +332,16 @@ def test_extend_odd_m_writes_certificate(tmp_path):
     cert = tmp_path / "cert.json"
     assert run("extend", "-m", "3", "--certificate", str(cert)) == 1
     assert run("verify", str(cert), "--certificate") == 0
+
+
+@pytest.mark.parametrize("options", [[], ["--trials", "0"]], ids=["plain", "bad-trials"])
+def test_verify_certificate_refuses_numeric(tmp_path, capsys, options):
+    cert = tmp_path / "cert.json"
+    cert.write_text(CERT_TEXT)
+    capsys.readouterr()
+    assert run("verify", str(cert), "--certificate", "--numeric", *options) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "not allowed with argument" in err
 
 
 def test_bounds(capsys):

@@ -242,16 +242,17 @@ def test_extend_odd_m_certified_impossible(m):
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 6])
 def test_extend_lists_the_row_ids_once(monkeypatch, m):
-    # G and the new column share one list; odd m builds neither
+    # G and the new column read one listing of the row masks; odd m builds neither
     calls = []
+    masks = generator._masks
 
-    def counting_row_ids_for(m):
-        calls.append(m)
-        return row_ids_for(m)
+    def counting_masks(length, weight):
+        calls.append((length, weight))
+        return masks(length, weight)
 
-    monkeypatch.setattr(generator, "row_ids_for", counting_row_ids_for)
+    monkeypatch.setattr(generator, "_masks", counting_masks)
     res = extend_g(m)
-    assert calls == ([] if m % 2 else [m])
+    assert calls.count((2 * m, m + 1)) == (0 if m % 2 else 1)
     if res.exists:
         assert [row[:-1] for row in res.design.cells] == list(construct_g(m).cells)
 

@@ -304,7 +304,7 @@ def test_checked_designs_pickle_and_deepcopy():
 
 def test_equality_and_hash_ignore_derived_state():
     used, fresh = construct_g(3), CodMatrix.from_rows(3, construct_g(3).cells)
-    verify_symbolic(used), used.patterns, used.cells, used._instance_index
+    verify_symbolic(used), used.patterns, used.cells
     assert used == fresh and hash(used) == hash(fresh)
     assert "_gram_report" in vars(used) and "_gram_report" not in vars(fresh)
 
