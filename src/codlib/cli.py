@@ -72,10 +72,10 @@ def _cmd_verify(args) -> int:
         ok = check_certificate(*_read_file(args.file, certificate_from_json))
         print("certificate valid" if ok else "certificate INVALID")
         return EXIT_OK if ok else EXIT_FALSE
-    from .model import check_numeric_options, verify_numeric, verify_symbolic
+    from .model import TOL, check_numeric_options, verify_numeric, verify_symbolic
 
     if args.numeric:  # a bad option fails before the file is read
-        check_numeric_options(args.trials, args.tol)
+        check_numeric_options(args.trials)
     cod = _read_file(args.file)
     report = verify_symbolic(cod)
     if not report.ok:
@@ -85,9 +85,9 @@ def _cmd_verify(args) -> int:
         return EXIT_FALSE
     print("symbolic: ok")
     if args.numeric:
-        ok = verify_numeric(cod, trials=args.trials, seed=args.seed, tol=args.tol)
+        ok = verify_numeric(cod, trials=args.trials, seed=args.seed)
         print(
-            f"numeric (trials={args.trials}, seed={args.seed}, tol={args.tol}): "
+            f"numeric (trials={args.trials}, seed={args.seed}, tol={TOL}): "
             + ("ok" if ok else "FAILED")
         )
         if not ok:
@@ -232,7 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="treat FILE as an inconsistency certificate")
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-9)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("canonicalize", help="compute the unique standard form")

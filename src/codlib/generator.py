@@ -51,11 +51,6 @@ def _masks(length: int, weight: int) -> list[int]:
     return sorted(sum(1 << c for c in pos) for pos in combinations(range(length), weight))
 
 
-def row_ids_for(m: int) -> list[BitVec]:
-    """All weight-(m+1) vectors in F_2^{2m}, ascending by mask."""
-    return [BitVec(2 * m, a) for a in _masks(2 * m, m + 1)]
-
-
 def construct_g(m: int) -> CodMatrix:
     """Build the standard [C(2m,m-1), 2m-1, C(2m-1,m-1)] design."""
     _check_m(m)
@@ -63,8 +58,8 @@ def construct_g(m: int) -> CodMatrix:
 
 
 def _build_g(m: int, extend: bool = False) -> CodMatrix:
-    """G, one row per id of `row_ids_for(m)`; with `extend`, also the 2m-th
-    column that `extend_g` derives for even m."""
+    """G, one row per weight-(m+1) mask of 2m bits, ascending; with `extend`,
+    also the 2m-th column that `extend_g` derives for even m."""
     two_m, n = 2 * m, 2 * m - 1
     e = (1 << two_m) - 1
     top = 1 << n  # e_2m: the row is conjugated

@@ -19,7 +19,6 @@ every entry without expanding it.
 
 from __future__ import annotations
 
-import math
 from array import array
 from collections import Counter
 from functools import cached_property
@@ -30,6 +29,7 @@ from .bitvec import BitVec, FrozenRecord
 from .errors import ParameterError
 
 M_MAX = 8  # desk-scale guard; p = C(2m, m-1) grows fast
+TOL = 1e-9  # verify_numeric's bound on each |Gram residual| entry
 
 
 class Entry(FrozenRecord):
@@ -273,36 +273,31 @@ def _check_gram(cod: CodMatrix) -> VerificationReport:
     return VerificationReport(failures)
 
 
-def check_numeric_options(trials: int, tol: float) -> None:
-    """Raise ParameterError unless `verify_numeric` can run with these options."""
+def check_numeric_options(trials: int) -> None:
+    """Raise ParameterError unless `verify_numeric` can run `trials` trials."""
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
-    if not (math.isfinite(tol) and tol > 0):
-        raise ParameterError(f"tol must be finite and positive, got {tol}")
 
 
-def verify_numeric(
-    cod: CodMatrix, trials: int = 10, seed: int = 0, tol: float = 1e-9
-) -> bool:
-    """Substitute seeded pseudorandom complex values and check the Gram residual."""
-    check_numeric_options(trials, tol)
+def verify_numeric(cod: CodMatrix, trials: int = 10, seed: int = 0) -> bool:
+    """Substitute seeded pseudorandom complex values and check that every
+    entry of the Gram residual is below `TOL`."""
+    check_numeric_options(trials)
     import numpy as np  # only this check needs numpy; keep it off start-up
 
     rng = np.random.default_rng(seed)
-    codes = np.asarray(cod.codes, dtype=np.int64)
-    nonzero = np.flatnonzero(codes)
-    rows, cols = np.divmod(nonzero, cod.n)
-    code = codes[nonzero]
-    var, conj = (code >> 2) - 1, code & 2
-    sign = np.where(code & 1, -1, 1)
+    codes = np.asarray(cod.codes, dtype=np.int64).reshape(cod.p, cod.n)
+    # values[code] is the cell's value: 0 for code 0, then per var_id v
+    # z_v, -z_v, z_v*, -z_v* (the order of code & 3)
+    values = np.zeros(4 * cod.k + 4, dtype=complex)
     for _ in range(trials):
         re = rng.uniform(-1.0, 1.0, size=cod.k)
         im = rng.uniform(-1.0, 1.0, size=cod.k)
         z = re + 1j * im
-        mat = np.zeros((cod.p, cod.n), dtype=complex)
-        mat[rows, cols] = sign * np.where(conj, z.conj()[var], z[var])
+        values[4:] = np.stack([z, -z, z.conj(), -z.conj()], axis=1).ravel()
+        mat = values[codes]
         norm = sum(abs(v) ** 2 for v in z.tolist())
         residual = mat.conj().T @ mat - norm * np.eye(cod.n)
-        if np.abs(residual).max() >= tol:
+        if np.abs(residual).max() >= TOL:
             return False
     return True

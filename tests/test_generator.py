@@ -14,7 +14,7 @@ from codlib import (
 )
 from codlib.errors import ParameterError
 import codlib.generator as generator
-from codlib.generator import _odd_walk, row_ids_for
+from codlib.generator import _odd_walk
 from conftest import ParityForest, row_ids
 
 
@@ -156,7 +156,8 @@ def build_extension_system(m: int):
     two_m = 2 * m
     e = BitVec.ones(two_m)
     e_2m = BitVec.unit(two_m, two_m)
-    unknowns = [a for a in row_ids_for(m) if a.bit(two_m)]
+    row_ids = [BitVec(two_m, a) for a in range(1 << two_m) if a.bit_count() == m + 1]
+    unknowns = [a for a in row_ids if a.bit(two_m)]
     edges = []
     for alpha in unknowns:
         for i in range(1, two_m):

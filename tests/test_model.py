@@ -22,7 +22,6 @@ from codlib import (
 from codlib.equivalence import canonicalize
 from codlib.errors import InvalidDesignError, ParameterError
 from codlib.fileio import design_from_json, design_to_json
-from codlib.generator import row_ids_for
 from codlib.model import gram_entry
 from conftest import (
     instances, make_eq3, reference_gram_entry, reference_verify_symbolic, row_ids,
@@ -43,7 +42,7 @@ def test_row_id_examples():
     # read off G_2's codes, the ids are the generator's, in its row order
     g = construct_g(2)
     assert [str(a) for a in row_ids(g)] == ["1110", "1101", "1011", "0111"]
-    assert row_ids(g) == row_ids_for(2)
+    assert row_ids(g) == [BitVec(4, a) for a in range(1 << 4) if a.bit_count() == 3]
 
 
 def test_verify_symbolic_known_design(eq3):
@@ -310,25 +309,36 @@ def test_equality_and_hash_ignore_derived_state():
 
 
 def test_verify_numeric(eq3):
-    assert verify_numeric(eq3, trials=10, seed=0, tol=1e-9)
+    assert verify_numeric(eq3, trials=10, seed=0)
     rows = [list(r) for r in eq3.cells]
     rows[1][0] = rows[1][0].negated()
     bad = CodMatrix.from_rows(2, rows)
-    assert not verify_numeric(bad, trials=10, seed=0, tol=1e-9)
+    assert not verify_numeric(bad, trials=10, seed=0)
     rows = [list(r) for r in eq3.cells]
     rows[2][2] = rows[2][2].conjugated()
     assert not verify_numeric(CodMatrix.from_rows(2, rows), trials=10, seed=0)
     assert verify_numeric(CodMatrix.from_rows(1, [[None]]))  # no nonzero cell
 
 
-@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0])
-def test_verify_numeric_rejects_bad_tolerance(eq3, tol):
-    rows = [list(r) for r in eq3.cells]
-    rows[1][0] = rows[1][0].negated()
-    with pytest.raises(ParameterError):
-        verify_numeric(CodMatrix.from_rows(2, rows), tol=tol)
-
-
+@pytest.mark.parametrize("make", [
+    lambda: construct_g(2), lambda: construct_g(3),
+    lambda: extend_g(2).design, lambda: extend_g(4).design,
+], ids=["g2", "g3", "extended-2", "extended-4"])
+def test_verify_numeric_agrees_with_symbolic_on_every_single_cell_flip(make):
+    # each flip of a nonzero cell's sign, conjugation or both reads every
+    # entry of verify_numeric's lookup table
+    d = make()
+    assert verify_numeric(d, trials=3, seed=0)
+    flips = 0
+    for i in (i for i, code in enumerate(d.codes) if code):
+        for x in (1, 2, 3):
+            codes = array("q", d.codes)
+            codes[i] ^= x
+            bad = CodMatrix(d.n, codes, d.ids)
+            assert not verify_symbolic(bad).ok  # every flip breaks orthogonality
+            assert verify_numeric(bad, trials=3, seed=flips) == verify_symbolic(bad).ok
+            flips += 1
+    assert flips == 3 * d.k * d.n
 def test_m_is_derived_from_n(eq3):
     assert eq3.m == 2
     with pytest.raises(ParameterError):
@@ -361,14 +371,14 @@ def test_verification_report_ok_is_derived_from_its_failures(eq3):
 
 def test_verify_numeric_trivial():
     cod = CodMatrix.from_rows(1, [[Entry(BitVec.unit(2, 1))]])
-    assert verify_numeric(cod, trials=3, seed=5, tol=1e-9)
+    assert verify_numeric(cod, trials=3, seed=5)
 
 
 def test_symbolic_implies_numeric_for_generated_designs():
     for m in (1, 2, 3):
         g = construct_g(m)
         assert verify_symbolic(g).ok
-        assert verify_numeric(g, trials=5, seed=m, tol=1e-9)
+        assert verify_numeric(g, trials=5, seed=m)
 
 
 @pytest.mark.parametrize("m", [2, 3])
