@@ -102,13 +102,6 @@ class BitVec(FrozenRecord):
     def weight(self) -> int:
         return self.mask.bit_count()
 
-    def partial_weight(self, s: int, t: int) -> int:
-        """Sum of bits s..t inclusive."""
-        if not 1 <= s <= t <= self.length:
-            raise IndexError(f"range {s}..{t} invalid for length {self.length}")
-        window = ((1 << (t - s + 1)) - 1) << (s - 1)
-        return (self.mask & window).bit_count()
-
     def support(self) -> list[int]:
         """1-based positions of the set bits."""
         return [i for i in range(1, self.length + 1) if self.bit(i)]

@@ -33,24 +33,31 @@ def _read_file(path: str, parse=None):
     return (parse or design_from_json)(text)
 
 
-def _emit(text: str, out: str | None) -> None:
-    """Write to the file `out`, or to stdout when no file is given."""
-    if not out:
-        sys.stdout.write(text)
-        return
-    try:
-        Path(out).write_text(text)
-    except OSError as exc:
-        raise ParameterError(f"cannot write {out}: {exc.strerror or exc}")
+def _emit(docs: list[tuple[str, str | None]], status: str | None = None) -> None:
+    """Write each (text, path) document, then the status line.
 
-
-def _check_dir(out: str | None) -> None:
-    """Fail before any write when the file `out` has no writable directory."""
-    parent = Path(out or ".").parent
-    if out and not (parent.is_dir() and os.access(parent, os.W_OK)):
-        raise ParameterError(
-            f"cannot write {out}: {parent} is not a writable directory"
-        )
+    A document without a path goes to stdout. Every path's directory is
+    checked before anything is written, so a bad directory leaves no file.
+    The status line goes to stderr when a document went to stdout, so that
+    stdout holds only the document, and to stdout otherwise.
+    """
+    paths = [path for _, path in docs if path]
+    for path in paths:
+        parent = Path(path).parent
+        if not (parent.is_dir() and os.access(parent, os.W_OK)):
+            raise ParameterError(
+                f"cannot write {path}: {parent} is not a writable directory"
+            )
+    for text, path in docs:
+        if not path:
+            sys.stdout.write(text)
+            continue
+        try:
+            Path(path).write_text(text)
+        except OSError as exc:
+            raise ParameterError(f"cannot write {path}: {exc.strerror or exc}")
+    if status:
+        print(status, file=sys.stdout if len(paths) == len(docs) else sys.stderr)
 
 
 # Each command imports the modules it runs, so a process loads no others.
@@ -60,7 +67,7 @@ def _cmd_generate(args) -> int:
     from .fileio import design_to_json
     from .generator import construct_g
 
-    _emit(design_to_json(construct_g(args.m)), args.output)
+    _emit([(design_to_json(construct_g(args.m)), args.output)])
     return EXIT_OK
 
 
@@ -75,7 +82,7 @@ def _cmd_verify(args) -> int:
     from .model import TOL, check_numeric_options, verify_numeric, verify_symbolic
 
     if args.numeric:  # a bad option fails before the file is read
-        check_numeric_options(args.trials)
+        check_numeric_options(args.trials, args.seed)
     cod = _read_file(args.file)
     report = verify_symbolic(cod)
     if not report.ok:
@@ -118,7 +125,7 @@ def _cmd_canonicalize(args) -> int:
     from .equivalence import canonicalize
     from .fileio import design_to_json
 
-    _emit(design_to_json(canonicalize(_read_file(args.file))), args.output)
+    _emit([(design_to_json(canonicalize(_read_file(args.file))), args.output)])
     return EXIT_OK
 
 
@@ -140,19 +147,16 @@ def _cmd_extend(args) -> int:
 
     result = extend_g(args.m)
     if result.exists:
-        out, code, text = args.output, EXIT_OK, design_to_json(result.design)
-        verdict = f"extension exists; sign solutions: 2^{result.solution_count_log2}"
+        text = design_to_json(result.design)
+        status = f"extension exists; sign solutions: 2^{result.solution_count_log2}"
     else:
-        out, code = args.certificate, EXIT_FALSE
         text = certificate_to_json(args.m, result.certificate)
-        verdict = (
+        status = (
             f"no extension for m={args.m}: odd-parity cycle of "
             f"{len(result.certificate.constraints)} constraints"
         )
-    _emit(text, out)
-    # a document on stdout stays parseable: its verdict goes to stderr
-    print(verdict, file=sys.stdout if out else sys.stderr)
-    return code
+    _emit([(text, args.output)], status)
+    return EXIT_OK if result.exists else EXIT_FALSE
 
 
 BOUNDS_N_MAX = 10000  # the delay C(2m,m-1) stays below Python's 4300-digit str limit
@@ -177,13 +181,10 @@ def _cmd_scramble(args) -> int:
     out, ops = scramble(cod, seed=args.seed, count=args.count)
     if not verify_symbolic(out).ok:
         raise InvalidDesignError("scramble output fails verification")
-    text, log = design_to_json(out), ops_to_text(ops)
-    _check_dir(args.output)
-    _check_dir(args.log)
-    _emit(text, args.output)
+    docs = [(design_to_json(out), args.output)]
     if args.log:
-        _emit(log, args.log)
-    print(f"seed {args.seed}, {len(ops)} ops applied")
+        docs.append((ops_to_text(ops), args.log))
+    _emit(docs, f"seed {args.seed}, {len(ops)} ops applied")
     return EXIT_OK
 
 
@@ -209,7 +210,7 @@ def _cmd_export(args) -> int:
 
     cod = _read_file(args.file)
     render = getattr(fileio, f"design_to_{args.format}")
-    _emit(render(cod), args.output)
+    _emit([(render(cod), args.output)])
     return EXIT_OK
 
 
@@ -247,8 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("extend", help="try to append the 2m-th column")
     p.add_argument("-m", type=int, required=True)
-    p.add_argument("-o", "--output")
-    p.add_argument("--certificate", help="where to write the certificate on failure")
+    p.add_argument("-o", "--output", "--certificate", dest="output",
+                   help="where to write the design, or the certificate when none exists")
     p.set_defaults(func=_cmd_extend)
 
     p = sub.add_parser("bounds", help="rate and delay bounds for n antennas")

@@ -273,16 +273,18 @@ def _check_gram(cod: CodMatrix) -> VerificationReport:
     return VerificationReport(failures)
 
 
-def check_numeric_options(trials: int) -> None:
-    """Raise ParameterError unless `verify_numeric` can run `trials` trials."""
+def check_numeric_options(trials: int, seed: int) -> None:
+    """Raise ParameterError unless `verify_numeric` accepts `trials` and `seed`."""
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
+    if seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed}")
 
 
 def verify_numeric(cod: CodMatrix, trials: int = 10, seed: int = 0) -> bool:
     """Substitute seeded pseudorandom complex values and check that every
     entry of the Gram residual is below `TOL`."""
-    check_numeric_options(trials)
+    check_numeric_options(trials, seed)
     import numpy as np  # only this check needs numpy; keep it off start-up
 
     rng = np.random.default_rng(seed)

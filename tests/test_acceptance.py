@@ -151,7 +151,7 @@ def test_criterion_8a_sign_identities():
         for a, b, i, j in _alamouti_column_pairs(g, ids):
             for col in (i, j):
                 lhs = (theta(a, col) + theta(b, col)) % 2
-                rhs = ((a ^ b).partial_weight(col, two_m) + col) % 2
+                rhs = (((a ^ b).mask >> (col - 1)).bit_count() + col) % 2
                 ok &= lhs == rhs
             total = theta(a, i) + theta(b, i) + theta(a, j) + theta(b, j)
             ok &= total % 2 == 1

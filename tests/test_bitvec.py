@@ -5,31 +5,6 @@ import pytest
 from codlib import BitVec
 
 
-def test_partial_weight_examples():
-    assert BitVec.from_string("1110").partial_weight(2, 4) == 2
-    assert BitVec.from_string("1111").partial_weight(1, 4) == 4
-    assert BitVec.from_string("0111").partial_weight(3, 4) == 2
-
-
-def test_partial_weight_equals_weight_on_full_range():
-    rng = random.Random(0)
-    for _ in range(50):
-        n = rng.randrange(1, 20)
-        v = BitVec(n, rng.randrange(1 << n))
-        assert v.partial_weight(1, n) == v.weight()
-        # cross-check against bit-by-bit summation
-        s, t = sorted((rng.randrange(1, n + 1), rng.randrange(1, n + 1)))
-        assert v.partial_weight(s, t) == sum(v.bit(i) for i in range(s, t + 1))
-
-
-def test_partial_weight_range_errors():
-    v = BitVec.from_string("101")
-    with pytest.raises(IndexError):
-        v.partial_weight(0, 2)
-    with pytest.raises(IndexError):
-        v.partial_weight(2, 4)
-
-
 def test_xor_properties():
     rng = random.Random(1)
     for _ in range(100):

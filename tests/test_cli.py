@@ -9,13 +9,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import codlib
-from codlib import construct_g, extend_g
+from codlib import canonicalize, construct_g, extend_g, scramble
 from codlib.cli import _residual_line, main
 from codlib.fileio import (
     certificate_from_json,
     certificate_to_json,
     design_from_json,
+    design_to_csv,
     design_to_json,
+    design_to_latex,
+    ops_to_text,
 )
 from conftest import make_eq3
 
@@ -234,6 +237,14 @@ def test_usage_error_is_exit_2(tmp_path, capsys, g2_file):
     assert f"error: cannot write {no_dir}: " in captured.err
     assert captured.out == ""  # a failed write leaves no verdict and no file
     assert not (tmp_path / "s.json").exists()
+    for argv in (["canonicalize", str(g2_file)], ["export", str(g2_file), "--format", "csv"]):
+        assert run(*argv, "-o", str(no_dir)) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith("error: cannot write") and out == ""
+    assert not no_dir.parent.exists()
+    missing = str(tmp_path / "missing.json")  # read, it would exit 3
+    assert run("verify", missing, "--numeric", "--seed", "-1") == 2
+    assert capsys.readouterr() == ("", "error: seed must be >= 0, got -1\n")
     empty = tmp_path / "empty.json"
     empty.write_text(_edited(G2, k=0, entries=[]))
     assert run("scramble", str(empty), "--seed", "1", "--count", "3") == 2
@@ -354,6 +365,53 @@ def test_extend_to_a_file_prints_the_verdict_on_stdout(tmp_path, capsys):
     capsys.readouterr()
     assert run("extend", "-m", "3", "--certificate", str(tmp_path / "c.json")) == 1
     assert capsys.readouterr() == ("no extension for m=3: odd-parity cycle of 5 constraints\n", "")
+
+
+G2_DESIGN = construct_g(2)
+G2_SCRAMBLED, G2_OPS = scramble(G2_DESIGN, seed=1, count=3)
+
+# case -> (argv, where "G2" is a file holding G_2 and "LOG" the op log's
+# path; the document; the op log or None; the status line or None; exit code)
+DOCUMENTS = {
+    "generate": (["generate", "-m", "2"], design_to_json(G2_DESIGN), None, None, 0),
+    "canonicalize": (["canonicalize", "G2"],
+                     design_to_json(canonicalize(G2_DESIGN)), None, None, 0),
+    "export-json": (["export", "G2", "--format", "json"],
+                    design_to_json(G2_DESIGN), None, None, 0),
+    "export-csv": (["export", "G2", "--format", "csv"],
+                   design_to_csv(G2_DESIGN), None, None, 0),
+    "export-latex": (["export", "G2", "--format", "latex"],
+                     design_to_latex(G2_DESIGN), None, None, 0),
+    "extend-2": (["extend", "-m", "2"], design_to_json(extend_g(2).design), None,
+                 "extension exists; sign solutions: 2^1", 0),
+    "extend-3": (["extend", "-m", "3"], CERT_TEXT, None,
+                 "no extension for m=3: odd-parity cycle of 5 constraints", 1),
+    "scramble": (["scramble", "G2", "--seed", "1", "--count", "3"],
+                 design_to_json(G2_SCRAMBLED), None, "seed 1, 3 ops applied", 0),
+    "scramble-log": (["scramble", "G2", "--seed", "1", "--count", "3", "--log", "LOG"],
+                     design_to_json(G2_SCRAMBLED), ops_to_text(G2_OPS),
+                     "seed 1, 3 ops applied", 0),
+}
+
+
+@pytest.mark.parametrize("case, flag", [
+    *((case, flag) for case in DOCUMENTS for flag in (None, "-o")),
+    ("extend-2", "--certificate"), ("extend-3", "--certificate"),
+], ids=lambda v: v or "stdout")
+def test_each_document_goes_to_its_file_or_alone_to_stdout(tmp_path, capsys, g2_file, case, flag):
+    argv, doc, log, status, code = DOCUMENTS[case]
+    names = {"G2": str(g2_file), "LOG": str(tmp_path / "ops.txt")}
+    argv = [names.get(a, a) for a in argv]
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run(*argv, *([flag, str(out)] if flag else [])) == code
+    line = f"{status}\n" if status else ""
+    if flag:  # the status line is the only thing on stdout
+        assert out.read_text() == doc and capsys.readouterr() == (line, "")
+    else:  # stdout holds the document alone
+        assert capsys.readouterr() == (doc, line) and not out.exists()
+    if log:
+        assert (tmp_path / "ops.txt").read_text() == log
 
 
 @pytest.mark.parametrize("options", [[], ["--trials", "0"]], ids=["plain", "bad-trials"])

@@ -103,7 +103,7 @@ def test_theta_pair_identity():
                     continue
                 for col in (i, j):
                     lhs = (theta(ids[x], col) + theta(ids[y], col)) % 2
-                    rhs = ((ids[x] ^ ids[y]).partial_weight(col, 2 * m) + col) % 2
+                    rhs = (((ids[x] ^ ids[y]).mask >> (col - 1)).bit_count() + col) % 2
                     assert lhs == rhs
 
 

@@ -320,6 +320,11 @@ def test_verify_numeric(eq3):
     assert verify_numeric(CodMatrix.from_rows(1, [[None]]))  # no nonzero cell
 
 
+def test_verify_numeric_rejects_a_negative_seed(eq3):
+    with pytest.raises(ParameterError, match="seed must be >= 0, got -1"):
+        verify_numeric(eq3, seed=-1)
+
+
 @pytest.mark.parametrize("make", [
     lambda: construct_g(2), lambda: construct_g(3),
     lambda: extend_g(2).design, lambda: extend_g(4).design,
