@@ -36,8 +36,8 @@ def _read_file(path: str, parse=None):
 def _emit(docs: list[tuple[str, str | None]], status: str | None = None) -> None:
     """Write each (text, path) document, then the status line.
 
-    A document without a path goes to stdout. Every path's directory is
-    checked before anything is written, so a bad directory leaves no file.
+    A document without a path goes to stdout. Every path is checked before
+    anything is written, so a bad directory or a directory path leaves no file.
     The status line goes to stderr when a document went to stdout, so that
     stdout holds only the document, and to stdout otherwise.
     """
@@ -45,9 +45,9 @@ def _emit(docs: list[tuple[str, str | None]], status: str | None = None) -> None
     for path in paths:
         parent = Path(path).parent
         if not (parent.is_dir() and os.access(parent, os.W_OK)):
-            raise ParameterError(
-                f"cannot write {path}: {parent} is not a writable directory"
-            )
+            raise ParameterError(f"cannot write {path}: {parent} is not a writable directory")
+        if Path(path).is_dir():
+            raise ParameterError(f"cannot write {path}: Is a directory")
     for text, path in docs:
         if not path:
             sys.stdout.write(text)

@@ -100,43 +100,44 @@ class InconsistencyCertificate(Record):
 def check_certificate(m: int, constraints: list[Constraint]) -> bool:
     """Independent validation of an inconsistency certificate.
 
-    Re-derives each constraint's parity from its endpoints alone, checks the
-    sequence closes a walk, and checks the parities XOR to 1.
+    Re-derives each constraint (a, b, c) from its ends alone, in this order:
+    a and b have length 2m, weight m+1 and bit 2m set; a ^ b ^ e ^ e_2m is
+    e_i for one column i <= 2m-1; bit i of a is 1; c = i mod 2.  Then the
+    parities must XOR to 1 and the constraints, in order, must close a walk.
+    A non-empty list with m < 1 raises ValueError.
     """
     if not constraints:
         return False
     two_m = 2 * m
-    e = BitVec.ones(two_m)
-    e_2m = BitVec.unit(two_m, two_m)
+    top = 1 << (two_m - 1)  # e_2m; m < 1 is a negative shift
+    flip = top - 1  # e ^ e_2m
     for a, b, c in constraints:
         if a.length != two_m or b.length != two_m:
             return False
-        if a.weight() != m + 1 or b.weight() != m + 1:
+        x, y = a.mask, b.mask
+        if x.bit_count() != m + 1 or y.bit_count() != m + 1:
             return False
-        if a.bit(two_m) != 1 or b.bit(two_m) != 1:
+        if not x & top or not y & top:
             return False
-        diff = a ^ b ^ e_2m ^ e
-        if diff.weight() != 1:
+        step = x ^ y ^ flip  # e_i
+        if step.bit_count() != 1:
             return False
-        i = diff.support()[0]
-        if i > two_m - 1 or a.bit(i) != 1 or c != i % 2:
+        i = step.bit_length()
+        if i > two_m - 1 or not x >> (i - 1) & 1 or c != i % 2:
             return False
     if sum(c for _, _, c in constraints) % 2 != 1:
         return False
 
-    def closes_from(start: BitVec) -> bool:
+    def closes_from(start: int) -> bool:
         at = start
         for a, b, _ in constraints:
-            if a == at:
-                at = b
-            elif b == at:
-                at = a
-            else:
+            if at != a.mask and at != b.mask:
                 return False
+            at ^= a.mask ^ b.mask  # the other end
         return at == start
 
     # the first constraint's orientation is not fixed; try both ends
-    return closes_from(constraints[0][0]) or closes_from(constraints[0][1])
+    return closes_from(constraints[0][0].mask) or closes_from(constraints[0][1].mask)
 
 
 class ExtensionResult(Record):

@@ -102,7 +102,7 @@ def _choices(spec: SearchSpec) -> tuple[list[list[int]], tuple[BitVec, ...]]:
             raise ParameterError("free mode is limited to n <= 3")
         k = spec.k
         length = max(2, k.bit_length() + 1, k)  # room for k unit ids
-        ids = tuple(BitVec.unit(length, v) for v in range(1, k + 1))
+        ids = tuple(BitVec(length, 1 << (v - 1)) for v in range(1, k + 1))
         # zero, then each variable with + and -, each plain and conjugated
         options = [0] + [v << 2 | flags for v in range(1, k + 1) for flags in (0, 2, 1, 3)]
         return [options] * (spec.p * spec.n), ids

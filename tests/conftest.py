@@ -23,7 +23,7 @@ def pytest_unconfigure(config):
 def make_eq3() -> CodMatrix:
     """The well-known [4,3,3] design with rows
     (z1, z2, z3), (-z2*, z1*, 0), (-z3*, 0, z1*), (0, z3*, -z2*)."""
-    z1, z2, z3 = (BitVec.unit(4, i) for i in (1, 2, 3))
+    z1, z2, z3 = (BitVec(4, 1 << (i - 1)) for i in (1, 2, 3))
     t = lambda v, s=1, c=False: Entry(v, s, c)
     rows = [
         [t(z1), t(z2), t(z3)],

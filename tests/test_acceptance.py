@@ -128,17 +128,17 @@ def test_criterion_7_bounds_table():
 
 
 def _alamouti_column_pairs(g, ids):
-    e = BitVec.ones(ids[0].length)
     two_m = ids[0].length
+    e = (1 << two_m) - 1
     for x in range(len(ids)):
         for y in range(x + 1, len(ids)):
-            diff = ids[x] ^ ids[y] ^ e
-            if diff.weight() != 2:
+            diff = ids[x].mask ^ ids[y].mask ^ e
+            if diff.bit_count() != 2:
                 continue
-            i, j = diff.support()
+            i, j = [c for c in range(1, two_m + 1) if diff >> (c - 1) & 1]
             if j > two_m - 1:
                 continue
-            if all(v.bit(i) and v.bit(j) for v in (ids[x], ids[y])):
+            if all(v.mask >> (i - 1) & 1 and v.mask >> (j - 1) & 1 for v in (ids[x], ids[y])):
                 yield ids[x], ids[y], i, j
 
 
@@ -151,7 +151,7 @@ def test_criterion_8a_sign_identities():
         for a, b, i, j in _alamouti_column_pairs(g, ids):
             for col in (i, j):
                 lhs = (theta(a, col) + theta(b, col)) % 2
-                rhs = (((a ^ b).mask >> (col - 1)).bit_count() + col) % 2
+                rhs = (((a.mask ^ b.mask) >> (col - 1)).bit_count() + col) % 2
                 ok &= lhs == rhs
             total = theta(a, i) + theta(b, i) + theta(a, j) + theta(b, j)
             ok &= total % 2 == 1

@@ -41,15 +41,16 @@ def test_shares_alamouti_characterization_on_g():
     for m in (2, 3):
         g = construct_g(m)
         ids = row_ids(g)
-        e = BitVec.ones(2 * m)
+        e = (1 << 2 * m) - 1
         for x in range(1, g.p + 1):
             for y in range(x + 1, g.p + 1):
-                diff = ids[x - 1] ^ ids[y - 1] ^ e
+                diff = ids[x - 1].mask ^ ids[y - 1].mask ^ e
                 predicted = None
-                if diff.weight() == 2:
-                    i, j = diff.support()
+                if diff.bit_count() == 2:
+                    i, j = [c for c in range(1, 2 * m + 1) if diff >> (c - 1) & 1]
                     if j <= 2 * m - 1 and all(
-                        v.bit(i) and v.bit(j) for v in (ids[x - 1], ids[y - 1])
+                        v.mask >> (i - 1) & 1 and v.mask >> (j - 1) & 1
+                        for v in (ids[x - 1], ids[y - 1])
                     ):
                         predicted = (i, j)
                 assert _reference_shares_alamouti(g, x, y) == predicted
@@ -119,7 +120,7 @@ def test_structural_report_missing_row(eq3):
 
 
 def _reference_pattern_witnesses(cod):
-    """Both zero-pattern checks bit by bit, on BitVec supports."""
+    """Both zero-pattern checks bit by bit, on each pattern's support."""
     patterns = [BitVec(cod.n, pat) for pat in cod.patterns]
     relations = []
     for var in cod.ids:
@@ -127,16 +128,17 @@ def _reference_pattern_witnesses(cod):
         for a in range(len(inst)):
             for b in range(a + 1, len(inst)):
                 (ra, ca, ea), (rb, cb, eb) = inst[a], inst[b]
-                diff = patterns[ra - 1] ^ patterns[rb - 1]
+                diff = patterns[ra - 1].mask ^ patterns[rb - 1].mask
                 if ea.conj != eb.conj:
-                    diff = diff ^ BitVec.ones(cod.n)
-                if set(diff.support()) != {ca, cb}:
-                    relations.append((var, (ra, ca), (rb, cb), diff.support()))
+                    diff ^= (1 << cod.n) - 1
+                support = [c for c in range(1, cod.n + 1) if diff >> (c - 1) & 1]
+                if set(support) != {ca, cb}:
+                    relations.append((var, (ra, ca), (rb, cb), support))
     m = cod.m
     admissible = {m, m + 1} if cod.n == 2 * m - 1 else {m + 1}
     completeness, seen = [], set()
     for r, pat in enumerate(patterns, start=1):
-        if pat.weight() not in admissible:
+        if pat.mask.bit_count() not in admissible:
             completeness.append(("bad-weight", r, str(pat)))
         elif pat in seen:
             completeness.append(("repeated", r, str(pat)))

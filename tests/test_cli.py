@@ -242,6 +242,12 @@ def test_usage_error_is_exit_2(tmp_path, capsys, g2_file):
         out, err = capsys.readouterr()
         assert err.startswith("error: cannot write") and out == ""
     assert not no_dir.parent.exists()
+    log_dir = tmp_path / "logs"  # refused before anything is written
+    log_dir.mkdir()
+    assert run("scramble", str(g2_file), "--seed", "1", "--count", "3",
+               "-o", str(tmp_path / "s.json"), "--log", str(log_dir)) == 2
+    assert capsys.readouterr() == ("", f"error: cannot write {log_dir}: Is a directory\n")
+    assert not (tmp_path / "s.json").exists()
     missing = str(tmp_path / "missing.json")  # read, it would exit 3
     assert run("verify", missing, "--numeric", "--seed", "-1") == 2
     assert capsys.readouterr() == ("", "error: seed must be >= 0, got -1\n")

@@ -34,7 +34,7 @@ def test_negrow_on_known_design(eq3):
 
 
 def test_conjvar_on_known_design(eq3):
-    z1 = BitVec.unit(4, 1)
+    z1 = BitVec(4, 1)
     out = apply_ops(eq3, [ConjVar(z1)])
     flags = [e.conj for _, _, e in instances(out, z1)]
     assert flags == [True, False, False]
@@ -57,7 +57,7 @@ def test_rowperm_is_validated(eq3):
 
 
 def test_rename_rejects_collision(eq3):
-    z1, z2 = BitVec.unit(4, 1), BitVec.unit(4, 2)
+    z1, z2 = BitVec(4, 1), BitVec(4, 2)
     with pytest.raises(ValueError):
         apply_ops(eq3, [RenameVar(z1, z2)])
 

@@ -71,7 +71,7 @@ def test_construct_g_row_conjugation_split():
         g = construct_g(m)
         for rid, row in zip(row_ids(g), g.cells):
             entries = [e for e in row if e is not None]
-            if rid.bit(2 * m):
+            if rid.mask >> (2 * m - 1) & 1:
                 assert len(entries) == m and all(e.conj for e in entries)
             else:
                 assert len(entries) == m + 1 and not any(e.conj for e in entries)
@@ -90,20 +90,22 @@ def test_theta_pair_identity():
     for m in (2, 3, 4):
         g = construct_g(m)
         ids = row_ids(g)
-        e = BitVec.ones(2 * m)
+        e = (1 << 2 * m) - 1
         for x in range(len(ids)):
             for y in range(x + 1, len(ids)):
-                diff = ids[x] ^ ids[y] ^ e
-                if diff.weight() != 2:
+                diff = ids[x].mask ^ ids[y].mask ^ e
+                if diff.bit_count() != 2:
                     continue
-                i, j = diff.support()
+                i, j = [c for c in range(1, 2 * m + 1) if diff >> (c - 1) & 1]
                 if j > 2 * m - 1:
                     continue
-                if not all(v.bit(i) and v.bit(j) for v in (ids[x], ids[y])):
+                if not all(
+                    v.mask >> (i - 1) & 1 and v.mask >> (j - 1) & 1 for v in (ids[x], ids[y])
+                ):
                     continue
                 for col in (i, j):
                     lhs = (theta(ids[x], col) + theta(ids[y], col)) % 2
-                    rhs = (((ids[x] ^ ids[y]).mask >> (col - 1)).bit_count() + col) % 2
+                    rhs = (((ids[x].mask ^ ids[y].mask) >> (col - 1)).bit_count() + col) % 2
                     assert lhs == rhs
 
 
@@ -112,16 +114,18 @@ def test_alamouti_sign_parity():
     for m in (2, 3, 4):
         g = construct_g(m)
         ids = row_ids(g)
-        e = BitVec.ones(2 * m)
+        e = (1 << 2 * m) - 1
         for x in range(len(ids)):
             for y in range(x + 1, len(ids)):
-                diff = ids[x] ^ ids[y] ^ e
-                if diff.weight() != 2:
+                diff = ids[x].mask ^ ids[y].mask ^ e
+                if diff.bit_count() != 2:
                     continue
-                i, j = diff.support()
+                i, j = [c for c in range(1, 2 * m + 1) if diff >> (c - 1) & 1]
                 if j > 2 * m - 1:
                     continue
-                if not all(v.bit(i) and v.bit(j) for v in (ids[x], ids[y])):
+                if not all(
+                    v.mask >> (i - 1) & 1 and v.mask >> (j - 1) & 1 for v in (ids[x], ids[y])
+                ):
                     continue
                 total = (
                     theta(ids[x], i)
@@ -154,15 +158,15 @@ def build_extension_system(m: int):
     from its smaller end.
     """
     two_m = 2 * m
-    e = BitVec.ones(two_m)
-    e_2m = BitVec.unit(two_m, two_m)
+    e = (1 << two_m) - 1
+    e_2m = 1 << (two_m - 1)
     row_ids = [BitVec(two_m, a) for a in range(1 << two_m) if a.bit_count() == m + 1]
-    unknowns = [a for a in row_ids if a.bit(two_m)]
+    unknowns = [a for a in row_ids if a.mask >> (two_m - 1) & 1]
     edges = []
     for alpha in unknowns:
         for i in range(1, two_m):
-            if alpha.bit(i):
-                beta = alpha ^ BitVec.unit(two_m, i) ^ e_2m ^ e
+            if alpha.mask >> (i - 1) & 1:
+                beta = BitVec(two_m, alpha.mask ^ 1 << (i - 1) ^ e_2m ^ e)
                 if beta.mask >= alpha.mask:
                     edges.append((alpha, beta, i % 2))
     return unknowns, edges
@@ -199,13 +203,13 @@ def test_closed_form_solves_the_extension_system(m):
     assert len({forest.find(i)[0] for i in range(len(unknowns))}) == 1
     # read the row ids off the first 2m-1 columns of the extended design
     g = CodMatrix.from_rows(m, [row[:-1] for row in res.design.cells])
-    e_2m = BitVec.unit(2 * m, 2 * m)
+    e_2m = 1 << (2 * m - 1)
     phi = {}
     for alpha, x in zip(row_ids(g), (row[-1] for row in res.design.cells)):
-        if not alpha.bit(2 * m):
+        if not alpha.mask & e_2m:
             assert x is None
             continue
-        assert x.var == alpha ^ e_2m and not x.conj
+        assert x.var == BitVec(2 * m, alpha.mask ^ e_2m) and not x.conj
         phi[alpha] = int(x.sign < 0)
     assert set(phi) == set(unknowns) and phi[unknowns[0]] == 0
     assert all(phi[a] ^ phi[b] == c for a, b, c in edges)
@@ -265,11 +269,29 @@ def test_extend_m4():
 
 
 def test_check_certificate_rejects_tampering():
-    res = extend_g(3)
-    cons = list(res.certificate.constraints)
-    a, b, c = cons[0]
-    cons[0] = (a, b, c ^ 1)  # even parity sum
-    assert not check_certificate(3, cons)
-    cons = list(res.certificate.constraints)[:-1]  # open walk
-    assert not check_certificate(3, cons)
-    assert not check_certificate(3, [])
+    for m in (3, 5):
+        walk = list(extend_g(m).certificate.constraints)
+        two_m, top = 2 * m, 1 << (2 * m - 1)
+        (a, b, c), rest = walk[0], walk[1:]
+        x, y = a.mask, b.mask
+        step = x ^ y ^ (top - 1)  # e_i for the step column i
+        a_zero = next(1 << k for k in range(two_m - 1) if not x >> k & 1)
+        b_one = next(1 << k for k in range(two_m - 1) if y >> k & 1 and 1 << k != step)
+        b_zero = next(1 << k for k in range(two_m - 1) if not y >> k & 1)
+        tampered = [
+            [(a, b, c ^ 1)] + rest,  # even parity sum
+            walk[:-1],  # open walk
+            [],
+            [(BitVec(two_m + 1, x), b, c)] + rest,  # an end of length 2m+1
+            [(BitVec(two_m, x | a_zero), b, c)] + rest,  # weight m+2, bit 2m kept
+            [(BitVec(two_m, x ^ top | a_zero), b, c)] + rest,  # weight m+1, no bit 2m
+            [(a, BitVec(two_m, y ^ b_one ^ b_zero), c)] + rest,  # ends differ in 3 columns
+            [(p, q, r ^ (n < 2)) for n, (p, q, r) in enumerate(walk)],  # 2 flipped: odd total
+            [walk[1], walk[0]] + walk[2:],  # the walk no longer closes
+        ]
+        for cons in tampered:
+            assert not check_certificate(m, cons)
+        accepted = [walk[r:] + walk[:r] for r in range(len(walk))]
+        accepted += [walk[::-1], [(q, p, r) for p, q, r in walk]]
+        for cons in accepted:
+            assert check_certificate(m, cons)

@@ -33,7 +33,7 @@ def test_zero_patterns_of_known_design(eq3):
 
 
 def test_zero_pattern_all_zero_row():
-    v = BitVec.unit(2, 1)
+    v = BitVec(2, 1)
     cod = CodMatrix.from_rows(1, [[Entry(v)], [None]])
     assert cod.patterns == [1, 0]
 
@@ -81,7 +81,7 @@ def test_verify_symbolic_negated_cell_fails_exactly_its_pairs(m):
 
 
 def test_verify_symbolic_trivial_design():
-    cod = CodMatrix.from_rows(1, [[Entry(BitVec.unit(2, 1))]])
+    cod = CodMatrix.from_rows(1, [[Entry(BitVec(2, 1))]])
     assert verify_symbolic(cod).ok
 
 
@@ -93,7 +93,7 @@ def test_verify_symbolic_keeps_equal_masks_of_different_lengths_apart():
 
 def test_verify_symbolic_catches_bad_diagonal():
     # same variable twice in one column: diagonal coefficient becomes 2
-    v = BitVec.unit(2, 1)
+    v = BitVec(2, 1)
     cod = CodMatrix.from_rows(1, [[Entry(v)], [Entry(v)]])
     report = verify_symbolic(cod)
     assert not report.ok
@@ -158,7 +158,7 @@ def _eq3_edited(edit):
     return CodMatrix.from_rows(2, rows)
 
 
-Z1, Z2, Z3 = (BitVec.unit(4, i) for i in (1, 2, 3))
+Z1, Z2, Z3 = (BitVec(4, 1 << (i - 1)) for i in (1, 2, 3))
 
 EDGE_CASES = {
     # a row holding one variable twice: its monomial z* z has no partner row
@@ -351,7 +351,7 @@ def test_m_is_derived_from_n(eq3):
     # p is the number of rows of the grid and k the size of the variable
     # table; neither is stored
     assert CodMatrix._fields == ("n", "codes", "ids")
-    z1, z2 = BitVec.unit(4, 1), BitVec.unit(4, 2)
+    z1, z2 = BitVec(4, 1), BitVec(4, 2)
     cod = CodMatrix.from_rows(1, [[Entry(z2)], [Entry(z1, -1, True)], [Entry(z2, -1)]])
     assert cod.k == 2 and cod.ids == (z1, z2)
     for m in (2, 4):
@@ -375,7 +375,7 @@ def test_verification_report_ok_is_derived_from_its_failures(eq3):
 
 
 def test_verify_numeric_trivial():
-    cod = CodMatrix.from_rows(1, [[Entry(BitVec.unit(2, 1))]])
+    cod = CodMatrix.from_rows(1, [[Entry(BitVec(2, 1))]])
     assert verify_numeric(cod, trials=3, seed=5)
 
 
@@ -391,7 +391,7 @@ def test_instance_pair_pattern_relations(m):
     # same conjugation: patterns differ exactly at the two instance columns;
     # opposite conjugation: patterns agree exactly there
     g = construct_g(m)
-    patterns = [BitVec(g.n, pat) for pat in g.patterns]
+    patterns = g.patterns
     for var in g.ids:
         inst = instances(g, var)
         for a in range(len(inst)):
@@ -400,9 +400,9 @@ def test_instance_pair_pattern_relations(m):
                 rb, cb, eb = inst[b]
                 diff = patterns[ra - 1] ^ patterns[rb - 1]
                 if ea.conj == eb.conj:
-                    assert set(diff.support()) == {ca, cb}
+                    assert {c for c in range(1, g.n + 1) if diff >> (c - 1) & 1} == {ca, cb}
                 else:
-                    same = (diff ^ BitVec.ones(g.n)).support()
+                    same = [c for c in range(1, g.n + 1) if not diff >> (c - 1) & 1]
                     assert set(same) == {ca, cb}
 
 

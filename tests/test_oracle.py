@@ -132,7 +132,7 @@ def flat_free(spec, kept=None):
     if spec.n > 3:
         raise ParameterError("free mode is limited to n <= 3")
     length = max(2, spec.k.bit_length() + 1, spec.k)
-    variables = [BitVec.unit(length, i + 1) for i in range(spec.k)]
+    variables = [BitVec(length, 1 << i) for i in range(spec.k)]
     options: list[Optional[Entry]] = [None]
     for v in variables:
         for sign in (1, -1):
