@@ -37,17 +37,22 @@ def _emit(docs: list[tuple[str, str | None]], status: str | None = None) -> None
     """Write each (text, path) document, then the status line.
 
     A document without a path goes to stdout. Every path is checked before
-    anything is written, so a bad directory or a directory path leaves no file.
-    The status line goes to stderr when a document went to stdout, so that
-    stdout holds only the document, and to stdout otherwise.
+    anything is written, so a bad directory, a directory path or a file named
+    by two outputs leaves no file. The status line goes to stderr when a
+    document went to stdout, so that stdout holds only the document, and to
+    stdout otherwise.
     """
     paths = [path for _, path in docs if path]
+    seen = set()
     for path in paths:
         parent = Path(path).parent
         if not (parent.is_dir() and os.access(parent, os.W_OK)):
             raise ParameterError(f"cannot write {path}: {parent} is not a writable directory")
         if Path(path).is_dir():
             raise ParameterError(f"cannot write {path}: Is a directory")
+        if Path(path).resolve() in seen:
+            raise ParameterError(f"cannot write {path}: named by two outputs")
+        seen.add(Path(path).resolve())
     for text, path in docs:
         if not path:
             sys.stdout.write(text)

@@ -104,12 +104,12 @@ def check_certificate(m: int, constraints: list[Constraint]) -> bool:
     a and b have length 2m, weight m+1 and bit 2m set; a ^ b ^ e ^ e_2m is
     e_i for one column i <= 2m-1; bit i of a is 1; c = i mod 2.  Then the
     parities must XOR to 1 and the constraints, in order, must close a walk.
-    A non-empty list with m < 1 raises ValueError.
+    An empty list, or any m < 1, is not a certificate.
     """
-    if not constraints:
+    if not constraints or m < 1:
         return False
     two_m = 2 * m
-    top = 1 << (two_m - 1)  # e_2m; m < 1 is a negative shift
+    top = 1 << (two_m - 1)  # e_2m
     flip = top - 1  # e ^ e_2m
     for a, b, c in constraints:
         if a.length != two_m or b.length != two_m:

@@ -1,11 +1,11 @@
 """Exhaustive search for small CODs.
 
-One depth-first search over one mutable grid of cell codes (see `model`);
-the two modes differ only in each cell's table of options.  The search
-sets the cells in row-major order, tries each cell's options in table
-order and rejects a partial grid as soon as one of its Gram entries is
-complete and fails.  Each design it keeps is a copy of the grid, and they
-come out in the order of the flat product over all cells.
+One depth-first loop over one mutable grid of cell codes (see `model`);
+the two modes differ only in each cell's table of options.  The loop sets
+the cells in row-major order, tries each cell's options in table order and
+keeps its place in a list, not in recursion, so the depth is not bounded
+by the recursion limit.  The designs it keeps are copies of the grid, and
+they come out in the order of the flat product over all cells.
 
 * family support: the zero patterns and variable placement of the
   [C(2m,m-1), 2m-1, C(2m-1,m-1)] family are forced (up to signs and
@@ -19,12 +19,16 @@ come out in the order of the flat product over all cells.
   flags in (0, 2, 1, 3).  Only sensible for very small p*n; guarded by
   `BUDGET`, like the family mode.
 
-Column pair (a, b) is checked at the later of its two cells in the last
-row where both may be nonzero.  Where some cell has a choice of variable,
-a column must also hold each of the k variables once when its last row is
-set.  Every design kept passes `verify_symbolic`, and valid designs are
-grouped by canonical form, giving ground truth for the uniqueness and
-nonexistence claims at desk scale.
+One rule prunes: O^H O = (sum |z_v|^2) I, entry by entry.  A partial grid
+is rejected as soon as one Gram entry is complete and its `gram_entry`
+expansion differs from its target: {} off the diagonal, and one z_v* z_v
+for each of the k variables on it.  Column pair (a, b) is complete at the
+later of its two cells in the last row where both may be nonzero, and
+column c at its last row; diagonals are checked only where some cell has
+a choice of variable.  Every design kept is cross-checked by
+`verify_symbolic`, whose partner rule is a different kernel, and valid
+designs are grouped by canonical form, giving ground truth for the
+uniqueness and nonexistence claims at desk scale.
 """
 
 from __future__ import annotations
@@ -32,7 +36,6 @@ from __future__ import annotations
 from array import array
 from itertools import combinations
 from math import prod
-from typing import Callable, Iterator
 
 from .bitvec import BitVec, Record
 from .equivalence import _family_m, canonicalize
@@ -51,34 +54,6 @@ class SearchSpec(Record):
 class EquivalenceClass(Record):
     def __init__(self, canonical: CodMatrix, count: int, sample: CodMatrix):
         self.canonical, self.count, self.sample = canonical, count, sample
-
-
-def _depth_first(
-    choices: list[list], place: Callable[[int, object], bool]
-) -> Iterator[None]:
-    """Yield once per full assignment that `place` accepts at every position.
-
-    `choices[i]` lists position i's options in search order.  `place(i, x)`
-    records option x at position i and returns False to prune every
-    assignment below it; it may read only positions before i, which hold
-    the current prefix.  Accepted assignments come out in the order
-    `product(*choices)` lists them.
-    """
-    depth = len(choices)
-    tried = [0] * depth  # options taken so far at each position
-    i = 0
-    while i >= 0:
-        if i == depth:
-            yield
-            i -= 1
-        elif tried[i] == len(choices[i]):
-            tried[i] = 0
-            i -= 1
-        else:
-            x = choices[i][tried[i]]
-            tried[i] += 1
-            if place(i, x):
-                i += 1
 
 
 def _classify(classes: dict, cand: CodMatrix, canon: CodMatrix) -> None:
@@ -121,27 +96,17 @@ def enumerate_cods(spec: SearchSpec) -> list[EquivalenceClass]:
     if p < 1 or n < 1:
         raise ParameterError(f"design needs at least one {'row' if p < 1 else 'column'}")
     grid = array("q", bytes(8 * p * n))
-    # each column pair at the cell that completes its Gram entry
+    # each Gram entry (a, b, rows, target) at the cell that completes it;
+    # without a choice of variable the table fixes every diagonal entry
     checks: list[list] = [[] for _ in choices]
+    if any(len({x >> 2 for x in options if x}) > 1 for options in choices):
+        diagonal = {(v << 1, v << 1 | 1): 1 for v in range(1, len(ids) + 1)}
+        for c in range(n):
+            checks[(p - 1) * n + c].append((c, c, range(p), diagonal))
     for a, b in combinations(range(n), 2):
         shared = [r for r in range(p) if any(choices[r * n + a]) and any(choices[r * n + b])]
         if shared:
-            checks[shared[-1] * n + b].append((a, b, shared))
-    # A diagonal Gram entry is its column's multiset of variables, so a valid
-    # design holds each variable once per column.  Without a choice of
-    # variable the table fixes that, and the test would only cost leaf time.
-    every = list(range(1, len(ids) + 1))
-    choose = any(len({x >> 2 for x in options if x}) > 1 for options in choices)
-    column_end = [choose and i >= (p - 1) * n for i in range(p * n)]
-
-    def place(i: int, code: int) -> bool:
-        grid[i] = code
-        if column_end[i] and sorted(x >> 2 for x in grid[i % n::n] if x) != every:
-            return False
-        for a, b, rows in checks[i]:
-            if gram_entry(grid, n, a, b, rows):
-                return False
-        return True
+            checks[shared[-1] * n + b].append((a, b, shared, {}))
 
     # Every candidate has the spec's [p, n, k]; outside the canonicalizable
     # family each design is its own class.
@@ -152,8 +117,24 @@ def enumerate_cods(spec: SearchSpec) -> list[EquivalenceClass]:
         canonical = lambda cod: cod  # the search keeps no design twice
 
     classes: dict[CodMatrix, EquivalenceClass] = {}
-    for _ in _depth_first(choices, place):
-        cand = CodMatrix(n, array("q", grid), ids)
-        if verify_symbolic(cand).ok:
-            _classify(classes, cand, canonical(cand))
+    depth = len(choices)
+    tried = [0] * depth  # options taken so far at each cell
+    i = 0
+    while i >= 0:
+        if i == depth:
+            cand = CodMatrix(n, array("q", grid), ids)
+            if verify_symbolic(cand).ok:
+                _classify(classes, cand, canonical(cand))
+            i -= 1
+        elif tried[i] == len(choices[i]):
+            tried[i] = 0
+            i -= 1
+        else:
+            grid[i] = choices[i][tried[i]]
+            tried[i] += 1
+            for a, b, rows, target in checks[i]:
+                if gram_entry(grid, n, a, b, rows) != target:
+                    break
+            else:
+                i += 1
     return list(classes.values())

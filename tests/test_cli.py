@@ -207,7 +207,7 @@ def test_fuzzed_input_exits_cleanly(fuzz_dir, data):
         assert "Traceback" not in err.getvalue() and "internal error" not in err.getvalue()
 
 
-def test_usage_error_is_exit_2(tmp_path, capsys, g2_file):
+def test_usage_error_is_exit_2(tmp_path, capsys, monkeypatch, g2_file):
     assert run("generate") == 2
     assert run("generate", "-m", "42") == 2
     assert run("bounds", "-n", "0") == 2
@@ -248,6 +248,12 @@ def test_usage_error_is_exit_2(tmp_path, capsys, g2_file):
                "-o", str(tmp_path / "s.json"), "--log", str(log_dir)) == 2
     assert capsys.readouterr() == ("", f"error: cannot write {log_dir}: Is a directory\n")
     assert not (tmp_path / "s.json").exists()
+    monkeypatch.chdir(tmp_path)  # one file, named by both outputs
+    for log in ("s.json", "./s.json"):
+        assert run("scramble", str(g2_file), "--seed", "1", "--count", "3",
+                   "-o", "s.json", "--log", log) == 2
+        assert capsys.readouterr() == ("", f"error: cannot write {log}: named by two outputs\n")
+        assert not (tmp_path / "s.json").exists()
     missing = str(tmp_path / "missing.json")  # read, it would exit 3
     assert run("verify", missing, "--numeric", "--seed", "-1") == 2
     assert capsys.readouterr() == ("", "error: seed must be >= 0, got -1\n")
@@ -256,6 +262,15 @@ def test_usage_error_is_exit_2(tmp_path, capsys, g2_file):
     assert run("scramble", str(empty), "--seed", "1", "--count", "3") == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_scramble_of_a_non_orthogonal_design_is_exit_3(tmp_path, capsys, bad_file):
+    out, log = tmp_path / "t.json", tmp_path / "t.ops"
+    capsys.readouterr()
+    assert run("scramble", str(bad_file), "--seed", "1", "--count", "3",
+               "-o", str(out), "--log", str(log)) == 3
+    assert capsys.readouterr() == ("", "error: scramble output fails verification\n")
+    assert not out.exists() and not log.exists()
 
 
 def test_scramble_with_every_id_taken_is_exit_2(tmp_path, capsys):

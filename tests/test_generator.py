@@ -221,6 +221,12 @@ def test_odd_walk_certifies_exactly_the_odd_m():
         assert check_certificate(m, _odd_walk(m)) == (m % 2 == 1)
 
 
+def test_check_certificate_with_m_below_1_is_false():
+    for m in (0, -1):
+        for walk in (_odd_walk(1), _odd_walk(3), []):
+            assert check_certificate(m, walk) is False
+
+
 def test_extend_even_m():
     res = extend_g(2)
     assert res.exists
