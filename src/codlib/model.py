@@ -9,8 +9,8 @@ therefore have equal codes, and every kernel, the oracle's search
 included, reads and writes the codes.  `CodMatrix.from_rows` is the one
 encoder of `Entry` rows and `CodMatrix.cells` the one decoder.
 
-Orthogonality is checked exactly, over commuting symbols, with a seeded
-numeric substitution as a secondary smoke test.  The diagonal Gram entry
+Orthogonality is checked exactly, over commuting symbols, and by an exact
+randomized identity test at seeded integer points.  The diagonal Gram entry
 (a, a) is right iff column a holds every variable once; then a monomial
 conj(O[r,a]) O[r,b] can cancel only against the row where column a holds
 O[r,b]'s variable, so one test per pair of nonzero cells in a row decides
@@ -29,7 +29,6 @@ from .bitvec import BitVec, FrozenRecord
 from .errors import ParameterError
 
 M_MAX = 8  # desk-scale guard; p = C(2m, m-1) grows fast
-TOL = 1e-9  # verify_numeric's bound on each |Gram residual| entry
 
 
 class Entry(FrozenRecord):
@@ -282,24 +281,28 @@ def check_numeric_options(trials: int, seed: int) -> None:
 
 
 def verify_numeric(cod: CodMatrix, trials: int = 10, seed: int = 0) -> bool:
-    """Substitute seeded pseudorandom complex values and check that every
-    entry of the Gram residual is below `TOL`."""
+    """Check O^H O = (z . z*) I exactly at seeded random integer points.
+
+    Each trial draws an integer in [-2^16, 2^16) for every z_v and, apart
+    from it, for every z_v*, and compares the Gram matrix there with
+    (z . z*) I by exact equality.  While p and k are below 2^21, every
+    partial sum is an integer below 2^53, so float64 is exact; the loader
+    caps p at 11440 and n at 16, so k <= 183040.  A non-orthogonal design's
+    residual is a nonzero polynomial of degree 2, so it passes one trial
+    with probability at most 2^-16 (Schwartz-Zippel).
+    """
     check_numeric_options(trials, seed)
     import numpy as np  # only this check needs numpy; keep it off start-up
 
     rng = np.random.default_rng(seed)
     codes = np.asarray(cod.codes, dtype=np.int64).reshape(cod.p, cod.n)
-    # values[code] is the cell's value: 0 for code 0, then per var_id v
-    # z_v, -z_v, z_v*, -z_v* (the order of code & 3)
-    values = np.zeros(4 * cod.k + 4, dtype=complex)
+    # values[code] is the cell's value: 0 for var_id 0, then per var_id v
+    # z_v, -z_v, z_v*, -z_v* (the order of code & 3); code ^ 2 conjugates
+    values = np.zeros(4 * cod.k + 4)
     for _ in range(trials):
-        re = rng.uniform(-1.0, 1.0, size=cod.k)
-        im = rng.uniform(-1.0, 1.0, size=cod.k)
-        z = re + 1j * im
-        values[4:] = np.stack([z, -z, z.conj(), -z.conj()], axis=1).ravel()
-        mat = values[codes]
-        norm = sum(abs(v) ** 2 for v in z.tolist())
-        residual = mat.conj().T @ mat - norm * np.eye(cod.n)
-        if np.abs(residual).max() >= TOL:
+        z, zs = rng.integers(-1 << 16, 1 << 16, size=(2, cod.k)).astype(float)
+        values[4:] = np.stack([z, -z, zs, -zs], axis=1).ravel()
+        gram = values[codes ^ 2].T @ values[codes]
+        if not np.array_equal(gram, (z @ zs) * np.eye(cod.n)):
             return False
     return True

@@ -34,9 +34,11 @@ def g2_file(tmp_path):
     return path
 
 
-def test_generate_and_verify(g2_file):
+def test_generate_and_verify(g2_file, capsys):
     assert run("verify", str(g2_file)) == 0
+    capsys.readouterr()
     assert run("verify", str(g2_file), "--numeric", "--trials", "5", "--seed", "3") == 0
+    assert capsys.readouterr() == ("symbolic: ok\nnumeric (trials=5, seed=3): ok\n", "")
 
 
 @pytest.fixture
@@ -262,6 +264,20 @@ def test_usage_error_is_exit_2(tmp_path, capsys, monkeypatch, g2_file):
     assert run("scramble", str(empty), "--seed", "1", "--count", "3") == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "-m", "2", "-o", ""],
+    ["extend", "-m", "2", "-o", ""],
+    ["scramble", "g2.json", "--seed", "1", "--count", "3", "-o", "s.json", "--log", ""],
+], ids=["generate", "extend", "scramble-log"])
+def test_an_empty_output_path_is_exit_2(tmp_path, capsys, monkeypatch, g2_file, argv):
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    assert run(*argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: cannot write ") and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["g2.json"]
 
 
 def test_scramble_of_a_non_orthogonal_design_is_exit_3(tmp_path, capsys, bad_file):

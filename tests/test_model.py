@@ -318,6 +318,10 @@ def test_verify_numeric(eq3):
     rows[2][2] = rows[2][2].conjugated()
     assert not verify_numeric(CodMatrix.from_rows(2, rows), trials=10, seed=0)
     assert verify_numeric(CodMatrix.from_rows(1, [[None]]))  # no nonzero cell
+    z1, z2 = BitVec(2, 1), BitVec(2, 2)  # designs whose only faults are diagonal
+    for rows in ([[Entry(z1)], [Entry(z1)]], [[Entry(z1), None], [None, Entry(z2)]]):
+        cod = CodMatrix.from_rows(1, rows)
+        assert not verify_symbolic(cod).ok and not verify_numeric(cod, trials=3)
 
 
 def test_verify_numeric_rejects_a_negative_seed(eq3):
@@ -330,20 +334,38 @@ def test_verify_numeric_rejects_a_negative_seed(eq3):
     lambda: extend_g(2).design, lambda: extend_g(4).design,
 ], ids=["g2", "g3", "extended-2", "extended-4"])
 def test_verify_numeric_agrees_with_symbolic_on_every_single_cell_flip(make):
-    # each flip of a nonzero cell's sign, conjugation or both reads every
-    # entry of verify_numeric's lookup table
+    # each edit of a nonzero cell: its sign, conjugation or both flipped,
+    # which reads every entry of verify_numeric's lookup table and breaks an
+    # off-diagonal entry; the cell zeroed or its variable swapped for the
+    # next one, which also breaks a diagonal entry
     d = make()
     assert verify_numeric(d, trials=3, seed=0)
     flips = 0
     for i in (i for i, code in enumerate(d.codes) if code):
-        for x in (1, 2, 3):
+        code = d.codes[i]
+        swapped = (code >> 2) % d.k + 1 << 2 | code & 3
+        for edited in (code ^ 1, code ^ 2, code ^ 3, 0, swapped):
             codes = array("q", d.codes)
-            codes[i] ^= x
+            codes[i] = edited
             bad = CodMatrix(d.n, codes, d.ids)
-            assert not verify_symbolic(bad).ok  # every flip breaks orthogonality
+            assert not verify_symbolic(bad).ok  # every edit breaks orthogonality
             assert verify_numeric(bad, trials=3, seed=flips) == verify_symbolic(bad).ok
             flips += 1
-    assert flips == 3 * d.k * d.n
+    assert flips == 5 * d.k * d.n
+
+
+def test_verify_numeric_is_exact_at_the_largest_designs():
+    # p and k, and so the integer sums that float64 must hold exactly, are
+    # largest at m = M_MAX
+    g = construct_g(model.M_MAX)
+    assert verify_numeric(g, trials=1)
+    assert verify_numeric(extend_g(model.M_MAX).design, trials=1)
+    codes = array("q", g.codes)
+    i = next(i for i, code in enumerate(codes) if code)
+    codes[i] ^= 1
+    assert not verify_numeric(CodMatrix(g.n, codes, g.ids), trials=1)
+
+
 def test_m_is_derived_from_n(eq3):
     assert eq3.m == 2
     with pytest.raises(ParameterError):
