@@ -24,7 +24,6 @@ _EXPORTS = {
         "check_certificate",
         "construct_g",
         "extend_g",
-        "theta",
     ),
     "equivalence": (
         "ColPerm",

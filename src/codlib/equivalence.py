@@ -160,8 +160,8 @@ def scramble(
             op = NegVar(rng.choice(ids))
         elif kind == 4:
             length = ids[0].length
-            used = {v.mask for v in ids if v.length == length}
-            if all(mask in used for mask in range(1 << length)):
+            used = {v.mask for v in ids if v.length == length}  # each below 2^length
+            if len(used) == 1 << length:
                 raise ParameterError(
                     f"cannot rename: every variable id of length {length} is in use"
                 )

@@ -1,19 +1,21 @@
 """Explicit construction of the standard design and the column extension.
 
-G_{2m-1} has one row per weight-(m+1) vector in F_2^{2m}; entry signs come
-from the parity function theta.  A 2m-th column must hold +-(a ^ e_2m) in
-each conjugated row a, and each Alamouti block of G ties two of those signs
-by one XOR constraint phi(a) ^ phi(b) = i mod 2, where b = a ^ e ^ e_2m ^ e_i
-is the step from a along column i.  `extend_g` answers this system in closed
-form: for even m, phi is a's parity on the even columns; for odd m, a closed
-walk that steps once along every column has odd parity and is returned as
-the certificate that no such column exists.
+G_{2m-1} has one row per weight-(m+1) vector a in F_2^{2m}.  Where a_i = 1,
+i < 2m, column i holds a ^ e_i, or its complement conjugated if a_2m = 1,
+with sign parity theta(a, i) = wt_{i..2m}(a) + floor(i/2) + a_2m [i odd]
+mod 2: along a row, a per-column constant flipped once per set bit below i.
+A 2m-th column must hold +-(a ^ e_2m) in each conjugated row a, and each
+Alamouti block of G ties two of those signs by one XOR constraint
+phi(a) ^ phi(b) = i mod 2, where b = a ^ e ^ e_2m ^ e_i is the step from a
+along column i.  `extend_g` answers this system in closed form: for even m,
+phi is a's parity on the even columns; for odd m, a closed walk that steps
+once along every column has odd parity and is returned as the certificate
+that no such column exists.
 """
 
 from __future__ import annotations
 
 from array import array
-from itertools import combinations
 from typing import Optional
 
 from .bitvec import BitVec, Record
@@ -23,32 +25,21 @@ from .model import M_MAX, CodMatrix
 Constraint = tuple[BitVec, BitVec, int]
 
 
-def theta(alpha: BitVec, i: int) -> int:
-    """Sign exponent for the nonzero entry at (alpha, i); requires alpha(i)=1."""
-    two_m, a = alpha.length, alpha.mask
-    if not 1 <= i <= two_m - 1:
-        raise IndexError(f"column {i} out of range 1..{two_m - 1}")
-    if not a >> (i - 1) & 1:
-        raise ValueError(f"theta undefined: bit {i} of {alpha} is 0")
-    return _theta(a, two_m, i - 1)
-
-
-def _theta(a: int, two_m: int, c: int) -> int:
-    """theta of the row with mask a at the 0-based column c."""
-    w = (a >> c).bit_count()  # bits c+1..2m
-    if c % 2:
-        return (w + (c + 1) // 2) % 2
-    return (w + c // 2 + (a >> (two_m - 1))) % 2
-
-
 def _check_m(m: int) -> None:
     if not 1 <= m <= M_MAX:
         raise ParameterError(f"m must be in 1..{M_MAX}, got {m}")
 
 
 def _masks(length: int, weight: int) -> list[int]:
-    """The masks of `length` bits with `weight` ones, ascending."""
-    return sorted(sum(1 << c for c in pos) for pos in combinations(range(length), weight))
+    """The masks of `length` bits with `weight` ones, ascending, by Gosper's
+    hack; weight must be at least 1, as each step divides by the lowest set bit."""
+    masks, a, end = [], (1 << weight) - 1, 1 << length
+    while a < end:
+        masks.append(a)
+        low = a & -a
+        ripple = a + low
+        a = ripple | (a ^ ripple) // low >> 2
+    return masks
 
 
 def construct_g(m: int) -> CodMatrix:
@@ -67,15 +58,23 @@ def _build_g(m: int, extend: bool = False) -> CodMatrix:
     # the variables are the weight-m masks below e_2m
     masks = _masks(n, m)
     var_ids = {v: i << 2 for i, v in enumerate(masks, 1)}
+    # flags[conj][c] is conj << 1 | theta at column c if no set bit is below c
+    flags = [[j << 1 | (m + 1 + (c + 1) // 2 + j * (1 - c % 2)) % 2 for c in range(n)]
+             for j in (0, 1)]
+    bits = [(c, 1 << c) for c in range(n)]
     codes = array("q")
     pin = None
     for a in _masks(two_m, m + 1):
         conj = a >> n
-        flip = e if conj else 0
-        codes.extend([
-            var_ids[a ^ 1 << c ^ flip] | conj << 1 | _theta(a, two_m, c) if a >> c & 1 else 0
-            for c in range(n)
-        ])
+        x = a ^ e if conj else a  # the cell at set bit c holds variable x ^ e_c
+        f = flags[conj]
+        row = [0] * n
+        below = 0  # parity of the set bits below c
+        for c, bit in bits:
+            if a & bit:
+                row[c] = var_ids[x ^ bit] | f[c] ^ below
+                below ^= 1
+        codes.extend(row)
         if extend:
             if conj:
                 phi = (a & even).bit_count() % 2

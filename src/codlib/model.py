@@ -12,9 +12,9 @@ encoder of `Entry` rows and `CodMatrix.cells` the one decoder.
 Orthogonality is checked exactly, over commuting symbols, and by an exact
 randomized identity test at seeded integer points.  The diagonal Gram entry
 (a, a) is right iff column a holds every variable once; then a monomial
-conj(O[r,a]) O[r,b] can cancel only against the row where column a holds
-O[r,b]'s variable, so one test per pair of nonzero cells in a row decides
-every entry without expanding it.
+conj(O[r,a]) O[r,b] can cancel only against one row r', and the test that
+it does passes from r iff it passes from r'; so each Alamouti block is tested
+once, and a count of the tests closes the check without expanding an entry.
 """
 
 from __future__ import annotations
@@ -210,9 +210,14 @@ def _check_gram(cod: CodMatrix) -> VerificationReport:
     can cancel only against row r' = the row where column a holds O[r,b]'s
     variable, and it does iff O[r',b] is O[r,a]'s variable with the other
     conjugation flag, O[r',a] has the other flag than O[r,b], and the two
-    sign products differ.  One pass over the pairs of nonzero cells in each
-    row checks this; `gram_entry` expands only the entries it finds nonzero
-    and those of columns whose diagonal fails, to report their residuals.
+    sign products differ; never if r' = r.  A pass from r is a pass from r'
+    with partner r, so passes pair up within a column pair, the two rows of
+    an Alamouti block.  The first pass tests only the pairs whose r' comes
+    after r: if all T pass and the rows hold 2T pairs of nonzero cells
+    (w(w-1)/2 in a row of weight w), their T untested mates are the rest;
+    a valid design has both.  Otherwise a second pass tests every pair, and
+    `gram_entry` expands only the entries it finds failing and those of
+    columns whose diagonal fails, to report their residuals.
     """
     n, codes = cod.n, cod.codes
     cols_all = range(n)
@@ -229,25 +234,32 @@ def _check_gram(cod: CodMatrix) -> VerificationReport:
             at[a][v] = base
         rows.append(cols)
     bad_columns.update(a for a in cols_all if -1 in at[a][1:])
-
     bad_pairs = set()
-    base = 0
-    for cols in rows:
-        for i, a in enumerate(cols, 1):
-            if a in bad_columns:
-                continue
-            t = codes[base + a]
-            col = at[a]
-            for b in cols[i:]:
-                # q is r' * n; O[r',b] must be t's variable with the other
-                # flag (x >> 1 == 1), and O[r',a] must differ from u in flag
-                # and, together with x, in sign parity.
-                u = codes[base + b]
-                q = col[u >> 2]
-                x = codes[q + b] ^ t
-                if x >> 1 != 1 or x ^ u ^ codes[q + a] != 1:
-                    bad_pairs.add((a, b))
-        base += n
+    for full in (True,) if bad_columns else (False, True):
+        tests = instances = base = 0
+        for cols in rows:
+            instances += len(cols) * (len(cols) - 1) // 2
+            for i, a in enumerate(cols, 1):
+                if a in bad_columns:
+                    continue
+                t = codes[base + a]
+                col = at[a]
+                for b in cols[i:]:
+                    # q is r' * n; O[r',b] must be t's variable with the other
+                    # flag (x >> 1 == 1), and O[r',a] must differ from u in flag
+                    # and, together with x, in sign parity.
+                    u = codes[base + b]
+                    q = col[u >> 2]
+                    if full or q > base:
+                        tests += 1
+                        x = codes[q + b] ^ t
+                        if x >> 1 != 1 or x ^ u ^ codes[q + a] != 1:
+                            bad_pairs.add((a, b))
+            if bad_pairs and not full:
+                break  # the full pass reports them
+            base += n
+        if not (full or bad_pairs) and 2 * tests == instances:
+            return VerificationReport(())
 
     failures = []
     for a in range(n):

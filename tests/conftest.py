@@ -52,6 +52,14 @@ def row_ids(cod: CodMatrix) -> list[BitVec]:
     return [BitVec(n + 1, pat | flag << n) for pat, flag in zip(cod.patterns, conj)]
 
 
+def theta(alpha: BitVec, i: int) -> int:
+    """The sign parity of G's cell at row id alpha, 1-based column i, where
+    alpha has bit i set: wt_{i..2m}(alpha) + floor(i/2), plus alpha's bit 2m
+    at odd i, mod 2."""
+    a = alpha.mask
+    return ((a >> (i - 1)).bit_count() + i // 2 + i % 2 * (a >> (alpha.length - 1))) % 2
+
+
 def reference_gram_entry(cells, a, b, rows) -> dict:
     """Nonzero monomials of the formal (a, b) entry of O^H O, on `Entry` rows.
 

@@ -17,13 +17,12 @@ from codlib import (
     max_rate,
     min_delay,
     scramble,
-    theta,
     verify_numeric,
     verify_symbolic,
 )
 from codlib.bitvec import BitVec
 from codlib.fileio import design_to_json
-from conftest import make_eq3, row_ids
+from conftest import make_eq3, row_ids, theta
 
 
 def report(name: str, ok: bool) -> None:

@@ -1,3 +1,4 @@
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -9,13 +10,12 @@ from codlib import (
     check_certificate,
     construct_g,
     extend_g,
-    theta,
     verify_symbolic,
 )
 from codlib.errors import ParameterError
 import codlib.generator as generator
 from codlib.generator import _odd_walk
-from conftest import ParityForest, row_ids
+from conftest import ParityForest, row_ids, theta
 
 
 def bv(s: str) -> BitVec:
@@ -28,9 +28,19 @@ def test_theta_examples():
     assert theta(bv("1011"), 1) == 0
 
 
-def test_theta_requires_nonzero_bit():
-    with pytest.raises(ValueError):
-        theta(bv("1011"), 2)
+@pytest.mark.parametrize("m", range(1, 8))
+def test_every_sign_bit_of_g_is_theta(m):
+    g = construct_g(m)
+    for r, rid in enumerate(row_ids(g)):
+        for c, code in enumerate(g.codes[r * g.n:(r + 1) * g.n], 1):
+            assert not code or code & 1 == theta(rid, c)
+
+
+def test_masks_lists_every_weight_ascending():
+    for length in range(1, 17):
+        for weight in range(1, length + 1):
+            want = sorted(sum(1 << c for c in pos) for pos in combinations(range(length), weight))
+            assert generator._masks(length, weight) == want
 
 
 def test_construct_g_m1():

@@ -119,6 +119,30 @@ def mutation_bases():
 MUTATIONS = ("negate", "conjugate", "other-variable", "swap", "flip-mask-bit", "zero")
 
 
+def mutate(rows, kind, r, c, arg=None):
+    """Apply one of MUTATIONS to the cell rows[r][c] in place.  `arg` is the
+    other (row, col) of a swap or other-variable edit and the bit index of
+    flip-mask-bit; the other edits leave a zero cell alone."""
+    e = rows[r][c]
+    if kind == "swap":
+        r2, c2 = arg
+        rows[r][c], rows[r2][c2] = rows[r2][c2], e
+    elif e is None:  # zeroed or swapped away by an earlier mutation
+        return
+    elif kind == "negate":
+        rows[r][c] = e.negated()
+    elif kind == "conjugate":
+        rows[r][c] = e.conjugated()
+    elif kind == "other-variable":
+        r2, c2 = arg
+        if rows[r2][c2] is not None:
+            rows[r][c] = Entry(rows[r2][c2].var, e.sign, e.conj)
+    elif kind == "flip-mask-bit":
+        rows[r][c] = Entry(BitVec(e.var.length, e.var.mask ^ 1 << arg), e.sign, e.conj)
+    else:
+        rows[r][c] = None
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
 @given(data=st.data())
 def test_verify_symbolic_matches_the_column_pair_reference(data):
@@ -130,26 +154,35 @@ def test_verify_symbolic_matches_the_column_pair_reference(data):
     anywhere = st.tuples(st.integers(0, cod.p - 1), st.integers(0, cod.n - 1))
     for kind in data.draw(st.lists(st.sampled_from(MUTATIONS), min_size=1, max_size=3)):
         r, c = data.draw(nonzero)
-        e = rows[r][c]
+        e, arg = rows[r][c], None
         if kind == "swap":
-            r2, c2 = data.draw(anywhere)
-            rows[r][c], rows[r2][c2] = rows[r2][c2], e
-        elif e is None:  # zeroed or swapped away by an earlier mutation
+            arg = data.draw(anywhere)
+        elif e is None:
             continue
-        elif kind == "negate":
-            rows[r][c] = e.negated()
-        elif kind == "conjugate":
-            rows[r][c] = e.conjugated()
         elif kind == "other-variable":
-            r2, c2 = data.draw(nonzero)
-            if rows[r2][c2] is not None:
-                rows[r][c] = Entry(rows[r2][c2].var, e.sign, e.conj)
+            arg = data.draw(nonzero)
         elif kind == "flip-mask-bit":
-            bit = 1 << data.draw(st.integers(0, e.var.length - 1))
-            rows[r][c] = Entry(BitVec(e.var.length, e.var.mask ^ bit), e.sign, e.conj)
-        else:
-            rows[r][c] = None
+            arg = data.draw(st.integers(0, e.var.length - 1))
+        mutate(rows, kind, r, c, arg)
     assert_matches_reference(CodMatrix.from_rows(cod.m, rows))
+
+
+@pytest.mark.parametrize("make", [lambda: construct_g(2), lambda: construct_g(3),
+                                  lambda: extend_g(2).design], ids=["G2", "G3", "E2"])
+def test_verify_symbolic_matches_the_reference_on_every_single_cell_mutation(make):
+    cod = make()
+    cells = [list(row) for row in cod.cells]
+    anywhere = [(r, c) for r in range(cod.p) for c in range(cod.n)]
+    nonzero = [(r, c) for r, c in anywhere if cells[r][c] is not None]
+    one_per_variable = list({cells[r][c].var: (r, c) for r, c in nonzero}.values())
+    for r, c in nonzero:
+        args = {"swap": anywhere, "other-variable": one_per_variable,
+                "flip-mask-bit": range(cells[r][c].var.length)}
+        for kind in MUTATIONS:
+            for arg in args.get(kind, [None]):
+                rows = [list(row) for row in cells]
+                mutate(rows, kind, r, c, arg)
+                assert_matches_reference(CodMatrix.from_rows(cod.m, rows))
 
 
 def _eq3_edited(edit):
@@ -167,6 +200,11 @@ EDGE_CASES = {
     "variable-twice-in-a-row-opposite-flags": (
         CodMatrix.from_rows(1, [[Entry(Z1), Entry(Z1, -1, True)],
                                 [Entry(Z2, 1, True), Entry(Z2)]]), False),
+    # every column holds each variable once, but row 1 holds z1 in columns 1
+    # and 2: the partner row of that pair is row 1 itself
+    "partner-row-is-the-row": (
+        _eq3_edited(lambda rows: (rows[0].__setitem__(1, rows[1][1]),
+                                  rows[1].__setitem__(1, Entry(Z2)))), False),
     "variable-missing-from-a-column": (
         _eq3_edited(lambda rows: rows[1].__setitem__(0, None)), False),
     "column-holds-a-variable-twice": (

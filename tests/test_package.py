@@ -37,12 +37,12 @@ def test_every_public_name_resolves():
     for name in codlib.__all__:
         assert getattr(codlib, name) is namespace[name]
     assert set(codlib.__all__) <= set(dir(codlib))
-    assert len(set(codlib.__all__)) == len(codlib.__all__) == 36
+    assert len(set(codlib.__all__)) == len(codlib.__all__) == 35
 
 
 @pytest.mark.parametrize("name", [
     "row_id", "zero_pattern", "shares_alamouti", "extract_bj", "BjForm",
-    "MixedConjugationError", "bounds", "BoundsReport",
+    "MixedConjugationError", "bounds", "BoundsReport", "theta",
 ])
 def test_removed_name_is_an_attribute_error(name):
     with pytest.raises(AttributeError):
