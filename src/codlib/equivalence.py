@@ -84,12 +84,13 @@ def _check_perm(perm: tuple[int, ...], size: int, what: str) -> None:
 def apply_ops(cod: CodMatrix, ops: Sequence[EquivOp]) -> CodMatrix:
     """Apply equivalence operations in order; (p, n, k) are preserved.
 
-    The ops only update three small tables, which are read once to build the
-    output codes.
+    The ops only update three small tables.  Then the output variables are
+    numbered by the sorted table, and one lookup per cell writes its code.
     """
     rows = [[r, False] for r in range(cod.p)]  # [input row, negated]
     cols = [[c, False] for c in range(cod.n)]
-    ids = {v: [v, False, False] for v in cod.ids}  # [input id, negated, conjugated]
+    # variable id -> [input var_id, negated, conjugated]
+    ids = {var: [v, False, False] for v, var in enumerate(cod.ids, 1)}
     for op in ops:
         if isinstance(op, RowPerm):
             _check_perm(op.perm, cod.p, "row")
@@ -115,16 +116,16 @@ def apply_ops(cod: CodMatrix, ops: Sequence[EquivOp]) -> CodMatrix:
             cols[op.col - 1][1] ^= True
         else:
             raise TypeError(f"unknown operation {op!r}")
-    current = {old: (var, conj << 1 | neg) for var, (old, neg, conj) in ids.items()}
-    out_ids = []
-    flip = [0] * 4  # flip[code]: the bits its variable's ops flip
-    for var in cod.ids:
-        new, bits = current[var]
-        out_ids.append(new)
-        flip += [bits] * 4
+    # plain[code]: the output code of a nonzero cell with no row or column
+    # negation, its variable numbered by the sorted output table
+    out_ids = sorted(ids, key=id_order)
+    plain = [0] * (4 * cod.k + 4)
+    for new, var in enumerate(out_ids, 1):
+        old, neg, conj = ids[var]
+        for flags in range(4):
+            plain[old << 2 | flags] = new << 2 | flags ^ (conj << 1 | neg)
     # tables[t][code]: the output code of a nonzero cell whose row and
     # column negations add up to t
-    plain = [code and code ^ flip[code] for code in range(len(flip))]
     tables = (plain, [code and code ^ 1 for code in plain])
     by_row = [[tables[cn] for _, cn in cols], [tables[not cn] for _, cn in cols]]
     picks = [c for c, _ in cols]
@@ -133,7 +134,7 @@ def apply_ops(cod: CodMatrix, ops: Sequence[EquivOp]) -> CodMatrix:
     for r, rn in rows:
         base = r * n
         codes.extend(map(list.__getitem__, by_row[rn], [src[base + c] for c in picks]))
-    return CodMatrix._from_codes(n, codes, out_ids)
+    return CodMatrix(n, codes, tuple(out_ids))
 
 
 def scramble(

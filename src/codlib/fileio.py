@@ -9,9 +9,10 @@ json.dumps(doc, indent=1, sort_keys=True) in one "".join of shared parts: a
 head per column and conjugation flag, each row number's text, made once per
 row, and a tail per cell code.  The loader's object hook folds each cell
 entry into a tuple of its fields as soon as json has parsed it, sharing one
-text per variable, then writes cell codes and parses each distinct variable
-text once.  At m = 8 (9.7 MB) the traced peak is 1.5x the output when
-writing and 1.7x the input when reading.
+text per variable.  The reader then parses each distinct variable text
+once, numbers the variables by the sorted table and writes each cell's
+final code.  At m = 8 (9.7 MB) the traced peak is 1.5x the output when
+writing and 1.6x the input when reading.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import TYPE_CHECKING, Callable, NoReturn, Optional, Sequence
 
 from .bitvec import BitVec
 from .errors import MalformedFileError
-from .model import M_MAX, CodMatrix
+from .model import M_MAX, CodMatrix, id_order
 
 if TYPE_CHECKING:  # design I/O loads neither module
     from .equivalence import EquivOp
@@ -147,7 +148,8 @@ def design_from_json(text: str) -> CodMatrix:
     def fold(obj):
         """(row, col, conj << 1 | neg, var) for an object with the five cell
         fields of valid types, counted in `folds`; any other object as it is.
-        It is the object hook, and the entry loop folds each dict with it."""
+        It is the object hook, or folds each item of `entries` after a
+        decode without it."""
         nonlocal folds
         try:
             r, c, sign, conj, var = (
@@ -167,9 +169,14 @@ def design_from_json(text: str) -> CodMatrix:
     entries = doc.get("entries") if type(doc) is dict else None
     # Each fold should be an item of `entries`.  One elsewhere (the whole
     # document, `m`, an entry's field) would change what an error message
-    # shows of it, so then decode again and keep every object a dict.
+    # shows of it, so then decode again, keep every object a dict and fold
+    # only the items of `entries`.
     if folds != (countOf(map(type, entries), tuple) if type(entries) is list else 0):
         doc = _decode(text)
+        entries = doc.get("entries") if type(doc) is dict else None
+        texts.clear()
+        if type(entries) is list:
+            entries[:] = map(fold, entries)
     _check_header(doc, DESIGN_FORMAT)
     m = _int(doc, "m", "document", 1)
     # no design codlib builds is larger than the m = M_MAX extension
@@ -178,33 +185,32 @@ def design_from_json(text: str) -> CodMatrix:
     k = _int(doc, "k", "document", 0)
     if m != (n + 1) // 2:
         raise MalformedFileError(f"m={m} but n={n} needs m={(n + 1) // 2}", "m")
+    # `texts` now holds the var text of each folded entry.  A text that
+    # BitVec refuses gets no var_id; its first entry is rejected in the loop.
+    accepted = []
+    for var in texts:
+        try:
+            accepted.append((BitVec.from_string(var), var))
+        except ValueError:
+            pass
+    accepted.sort(key=lambda pair: id_order(pair[0]))
+    var_ids = {var: v << 2 for v, (_, var) in enumerate(accepted, 1)}
     codes = array("q", bytes(8 * p * n))
-    table: list[BitVec] = []  # var_id - 1 -> variable, in order of first use
-    var_ids: dict[str, int] = {}  # var text -> var_id << 2
     for idx, item in enumerate(_list(doc, "entries")):
-        cell = item if type(item) is tuple else fold(item)
-        r, c, flags, var = cell if type(cell) is tuple else _NOT_A_CELL
+        r, c, flags, var = item if type(item) is tuple else _NOT_A_CELL
         if 0 < r <= p and 0 < c <= n and not codes[pos := (r - 1) * n + c - 1]:
-            v = var_ids.get(var)
-            if v is None:  # a text is known only once BitVec has accepted it
-                try:
-                    table.append(BitVec.from_string(var))
-                except ValueError:
-                    v = 0
-                else:
-                    v = var_ids[var] = len(table) << 2
-            if v:
+            if v := var_ids.get(var):
                 codes[pos] = v | flags
                 continue
         if type(item) is tuple:  # the entry as it was read
             item = {"row": r, "col": c, "sign": "-" if flags & 1 else "+",
                     "conj": bool(flags & 2), "var": var}
         _reject_entry(item, f"entries[{idx}]", p, n, codes)
-    if len(table) != k:
+    if len(accepted) != k:
         raise MalformedFileError(
-            f"declared k={k} but {len(table)} distinct variables appear", "k"
+            f"declared k={k} but {len(accepted)} distinct variables appear", "k"
         )
-    return CodMatrix._from_codes(n, codes, table)
+    return CodMatrix(n, codes, tuple(var for var, _ in accepted))
 
 
 # -- certificates ----------------------------------------------------------

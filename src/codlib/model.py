@@ -6,8 +6,10 @@ by (mask, length).  A zero cell has code 0; a signed, optionally
 conjugated instance of a variable has code var_id << 2 | conj << 1 | neg,
 where var_id is 1 + the variable's position in the table.  Equal designs
 therefore have equal codes, and every kernel, the oracle's search
-included, reads and writes the codes.  `CodMatrix.from_rows` is the one
-encoder of `Entry` rows and `CodMatrix.cells` the one decoder.
+included, reads and writes the codes.  Every encoder numbers a design's
+variables by the sorted table before it writes a code, and writes each
+code once.  `CodMatrix.from_rows` is the one encoder of `Entry` rows and
+`CodMatrix.cells` the one decoder.
 
 Orthogonality is checked exactly, over commuting symbols, and by an exact
 randomized identity test at seeded integer points.  The diagonal Gram entry
@@ -106,27 +108,13 @@ class CodMatrix(FrozenRecord):
             raise ParameterError("rows have unequal lengths")
         if m != (n + 1) // 2:
             raise ParameterError(f"m={m} but n={n} needs m={(n + 1) // 2}")
-        var_ids: dict[BitVec, int] = {}  # variable -> var_id << 2, in order of first use
+        ids = sorted({e.var for row in rows for e in row if e is not None}, key=id_order)
+        var_ids = {var: v << 2 for v, var in enumerate(ids, 1)}
         codes = array("q", [
-            0 if e is None else
-            var_ids.setdefault(e.var, len(var_ids) + 1 << 2) | e.conj << 1 | (e.sign < 0)
+            0 if e is None else var_ids[e.var] | e.conj << 1 | (e.sign < 0)
             for row in rows for e in row
         ])
-        return cls._from_codes(n, codes, list(var_ids))
-
-    @classmethod
-    def _from_codes(cls, n: int, codes: array, ids: Sequence[BitVec]) -> "CodMatrix":
-        """A design whose codes name ids[i] by var_id i + 1, in any order of
-        `ids`; the table is sorted and the codes follow it.  The encoders of
-        unordered tables (`from_rows`, the loader, `apply_ops`) build here."""
-        order = sorted(range(len(ids)), key=lambda i: id_order(ids[i]))
-        if order != list(range(len(ids))):
-            recode = [0] * (4 * len(ids) + 4)  # old code -> new code
-            for new, old in enumerate(order, 1):
-                for flags in range(4):
-                    recode[old + 1 << 2 | flags] = new << 2 | flags
-            codes = array("q", map(recode.__getitem__, codes))
-        return cls(n, codes, tuple(ids[i] for i in order))
+        return cls(n, codes, tuple(ids))
 
     @cached_property
     def cells(self) -> tuple[tuple[Cell, ...], ...]:

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 import tracemalloc
 from array import array
 
@@ -30,10 +31,21 @@ from codlib.fileio import (
 from codlib.model import M_MAX
 
 
-@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
-def test_design_round_trip(m):
-    g = construct_g(m)
-    assert design_from_json(design_to_json(g)) == g
+@pytest.mark.parametrize(
+    "cod, shuffle",
+    [(construct_g(m), False) for m in range(1, 8)]
+    + [(extend_g(4).design, False), (scramble(construct_g(4), seed=6, count=40)[0], True)],
+    ids=[str(m) for m in range(1, 8)] + ["ext4", "scrambled-shuffled"],
+)
+def test_design_round_trip(cod, shuffle):
+    text = design_to_json(cod)
+    if shuffle:  # the entries meet the variables in another order than the table
+        doc = json.loads(text)
+        random.Random(3).shuffle(doc["entries"])
+        first_use = list(dict.fromkeys(e["var"] for e in doc["entries"]))
+        assert first_use != list(map(str, cod.ids))
+        text = json.dumps(doc)
+    assert design_from_json(text) == cod
 
 
 def test_design_round_trip_after_scramble():
@@ -243,7 +255,9 @@ def test_loaded_cells_equal_fresh_entries():
 
 def _reference_design_from_json(text):
     """The loader as it was before cell entries were folded while decoding:
-    json.loads keeps one dict per entry, then one pass checks each dict."""
+    json.loads keeps one dict per entry, one pass checks each dict and
+    numbers the variables in order of first use, then a second pass
+    rewrites every code to follow the sorted table."""
     doc = _check_header(_decode(text), DESIGN_FORMAT)
     m = _int(doc, "m", "document", 1)
     p = _int(doc, "p", "document", 1, math.comb(2 * M_MAX, M_MAX - 1))
@@ -278,7 +292,14 @@ def _reference_design_from_json(text):
         raise MalformedFileError(
             f"declared k={k} but {len(table)} distinct variables appear", "k"
         )
-    return CodMatrix._from_codes(n, codes, table)
+    # renumber the variables, met in order of first use, by the sorted table
+    order = sorted(range(k), key=lambda i: (table[i].mask, table[i].length))
+    recode = [0] * (4 * k + 4)  # first-use code -> final code
+    for new, old in enumerate(order, 1):
+        for flags in range(4):
+            recode[old + 1 << 2 | flags] = new << 2 | flags
+    codes = array("q", map(recode.__getitem__, codes))
+    return CodMatrix(n, codes, tuple(table[i] for i in order))
 
 
 def _outcome(load, text):
@@ -324,6 +345,11 @@ NAMED = {
     "conj-1": _with(G3_DOC, ["entries", 0, "conj"], 1),
     "var-text-rejected-later": _with(G3_DOC, ["entries", 4, "var"], "01x0"),
     "duplicate-folded-cell": _with(G3_DOC, ["entries", 3], G3_DOC["entries"][0]),
+    # k counts only the entries' variables, not a folded cell's elsewhere
+    "unused-var-under-unknown-key": _with(G3_DOC, ["notes"], {**ENTRY, "var": "1111"}),
+    # the refused text is parsed before the loop; the earlier entry still fails first
+    "bad-row-before-bad-var-text": _with(
+        _with(G3_DOC, ["entries", 1, "row"], 9), ["entries", 3, "var"], "10x0"),
 }
 
 
