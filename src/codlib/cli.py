@@ -153,9 +153,10 @@ def _cmd_extend(args) -> int:
         status = f"extension exists; sign solutions: 2^{result.solution_count_log2}"
     else:
         text = certificate_to_json(args.m, result.certificate)
+        count = len(result.certificate.constraints)
         status = (
             f"no extension for m={args.m}: odd-parity cycle of "
-            f"{len(result.certificate.constraints)} constraints"
+            f"{count} constraint{'s' * (count != 1)}"
         )
     _emit([(text, args.output)], status)
     return EXIT_OK if result.exists else EXIT_FALSE

@@ -16,19 +16,21 @@ they come out in the order of the flat product over all cells.
   the generator it cross-checks (ROADMAP item 2).
 * free: every cell ranges over zero and all signed, optionally conjugated
   variables, in the order 0, then v << 2 | flags for each var_id v and
-  flags in (0, 2, 1, 3).  Only sensible for very small p*n; guarded by
-  `BUDGET`, like the family mode.
+  flags in (0, 2, 1, 3).  Only sensible for very small p*n.
 
-One rule prunes: O^H O = (sum |z_v|^2) I, entry by entry.  A partial grid
-is rejected as soon as one Gram entry is complete and its `gram_entry`
-expansion differs from its target: {} off the diagonal, and one z_v* z_v
-for each of the k variables on it.  Column pair (a, b) is complete at the
-later of its two cells in the last row where both may be nonzero, and
-column c at its last row; diagonals are checked only where some cell has
-a choice of variable.  Every design kept is cross-checked by
-`verify_symbolic`, whose partner rule is a different kernel, and valid
-designs are grouped by canonical form, giving ground truth for the
-uniqueness and nonexistence claims at desk scale.
+`BUDGET` is the one size guard, for both modes.  One rule prunes, and it
+alone decides which designs are kept: O^H O = (sum |z_v|^2) I, entry by
+entry.  A partial grid is rejected as soon as one Gram entry is complete
+and its `gram_entry` expansion differs from its target: {} off the
+diagonal, and one z_v* z_v for each of the k variables on it.  Column
+pair (a, b) is complete at the later of its two cells in the last row
+where both may be nonzero, and column c at its last row.  Diagonals are
+checked wherever some cell's options name more than one variable, zero
+counting as one; family mode's support fixes each column's variables, so
+it checks none.  Every design kept is cross-checked by `verify_symbolic`,
+whose partner rule is a different kernel; a failure raises
+`AssertionError`.  Valid designs are grouped by canonical form, giving
+ground truth for the uniqueness and nonexistence claims at desk scale.
 """
 
 from __future__ import annotations
@@ -56,13 +58,6 @@ class EquivalenceClass(Record):
         self.canonical, self.count, self.sample = canonical, count, sample
 
 
-def _classify(classes: dict, cand: CodMatrix, canon: CodMatrix) -> None:
-    if canon in classes:
-        classes[canon].count += 1
-    else:
-        classes[canon] = EquivalenceClass(canonical=canon, count=1, sample=cand)
-
-
 def _choices(spec: SearchSpec) -> tuple[list[list[int]], tuple[BitVec, ...]]:
     """Each cell's options in search order, row-major, and the variable table."""
     if spec.mode == "family":
@@ -73,8 +68,6 @@ def _choices(spec: SearchSpec) -> tuple[list[list[int]], tuple[BitVec, ...]]:
             for code in support.codes
         ], support.ids
     if spec.mode == "free":
-        if spec.n > 3:
-            raise ParameterError("free mode is limited to n <= 3")
         k = spec.k
         length = max(2, k.bit_length() + 1, k)  # room for k unit ids
         ids = tuple(BitVec(length, 1 << (v - 1)) for v in range(1, k + 1))
@@ -97,9 +90,10 @@ def enumerate_cods(spec: SearchSpec) -> list[EquivalenceClass]:
         raise ParameterError(f"design needs at least one {'row' if p < 1 else 'column'}")
     grid = array("q", bytes(8 * p * n))
     # each Gram entry (a, b, rows, target) at the cell that completes it;
-    # without a choice of variable the table fixes every diagonal entry
+    # where no cell has a choice of variable, zero counting as one, the
+    # table fixes every diagonal entry
     checks: list[list] = [[] for _ in choices]
-    if any(len({x >> 2 for x in options if x}) > 1 for options in choices):
+    if any(len({x >> 2 for x in options}) > 1 for options in choices):
         diagonal = {(v << 1, v << 1 | 1): 1 for v in range(1, len(ids) + 1)}
         for c in range(n):
             checks[(p - 1) * n + c].append((c, c, range(p), diagonal))
@@ -116,15 +110,16 @@ def enumerate_cods(spec: SearchSpec) -> list[EquivalenceClass]:
     except ParameterError:
         canonical = lambda cod: cod  # the search keeps no design twice
 
-    classes: dict[CodMatrix, EquivalenceClass] = {}
+    tally: dict[CodMatrix, list] = {}  # canonical form -> [count, first design]
     depth = len(choices)
     tried = [0] * depth  # options taken so far at each cell
     i = 0
     while i >= 0:
         if i == depth:
             cand = CodMatrix(n, array("q", grid), ids)
-            if verify_symbolic(cand).ok:
-                _classify(classes, cand, canonical(cand))
+            if not verify_symbolic(cand).ok:
+                raise AssertionError(f"the search kept a non-orthogonal design {cand}")
+            tally.setdefault(canonical(cand), [0, cand])[0] += 1
             i -= 1
         elif tried[i] == len(choices[i]):
             tried[i] = 0
@@ -137,4 +132,4 @@ def enumerate_cods(spec: SearchSpec) -> list[EquivalenceClass]:
                     break
             else:
                 i += 1
-    return list(classes.values())
+    return [EquivalenceClass(canon, count, sample) for canon, (count, sample) in tally.items()]

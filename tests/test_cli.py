@@ -1,6 +1,8 @@
 import contextlib
+import errno
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -280,6 +282,18 @@ def test_an_empty_output_path_is_exit_2(tmp_path, capsys, monkeypatch, g2_file, 
     assert sorted(p.name for p in tmp_path.iterdir()) == ["g2.json"]
 
 
+def test_a_write_that_fails_after_the_checks_is_exit_2(tmp_path, capsys, monkeypatch):
+    def full_disk(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(Path, "write_text", full_disk)
+    cert = tmp_path / "c.json"
+    capsys.readouterr()
+    assert run("extend", "-m", "3", "-o", str(cert)) == 2
+    assert capsys.readouterr() == ("", f"error: cannot write {cert}: No space left on device\n")
+    assert not cert.exists()
+
+
 def test_scramble_of_a_non_orthogonal_design_is_exit_3(tmp_path, capsys, bad_file):
     out, log = tmp_path / "t.json", tmp_path / "t.ops"
     capsys.readouterr()
@@ -396,12 +410,18 @@ def test_extend_to_stdout_prints_only_the_document_there(capsys):
     out, err = capsys.readouterr()
     assert certificate_from_json(out) == (3, extend_g(3).certificate.constraints)
     assert err == "no extension for m=3: odd-parity cycle of 5 constraints\n"
+    assert run("extend", "-m", "1") == 1
+    out, err = capsys.readouterr()
+    assert certificate_from_json(out) == (1, extend_g(1).certificate.constraints)
+    assert err == "no extension for m=1: odd-parity cycle of 1 constraint\n"
 
 
 def test_extend_to_a_file_prints_the_verdict_on_stdout(tmp_path, capsys):
     capsys.readouterr()
     assert run("extend", "-m", "3", "--certificate", str(tmp_path / "c.json")) == 1
     assert capsys.readouterr() == ("no extension for m=3: odd-parity cycle of 5 constraints\n", "")
+    assert run("extend", "-m", "1", "--certificate", str(tmp_path / "c1.json")) == 1
+    assert capsys.readouterr() == ("no extension for m=1: odd-parity cycle of 1 constraint\n", "")
 
 
 G2_DESIGN = construct_g(2)

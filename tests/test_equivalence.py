@@ -1,3 +1,4 @@
+from array import array
 from functools import reduce
 
 import pytest
@@ -24,6 +25,7 @@ from codlib import (
 )
 from codlib.equivalence import _check_perm
 from codlib.errors import ParameterError
+from codlib.model import VerificationReport
 from conftest import instances, make_eq3
 
 
@@ -290,6 +292,47 @@ def test_canonicalize_rejects_invalid_design(eq3):
     bad = CodMatrix.from_rows(2, rows)
     with pytest.raises(InvalidDesignError):
         canonicalize(bad)
+
+
+def _zero_two(codes):  # row 1 keeps 2 of its 4 nonzero cells
+    codes[0] = codes[1] = 0
+
+
+def _flip_conj(codes):  # one instance of 011100 conjugated, its others not
+    codes[0] ^= 2
+
+
+def _copy_row(codes):  # row 2 repeats row 1
+    codes[5:10] = codes[0:5]
+
+
+def _swap(codes):  # 101100 and 011100 trade columns 1 and 2 in row 1
+    codes[0], codes[1] = codes[1], codes[0]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_zero_two, "row nonzero counts are not m or m+1"),
+    (_flip_conj, "variable 011100 cannot be conjugation separated"),
+    (_copy_row, "row identifiers are not distinct weight-(m+1)"),
+    (_swap, "instances of 101100 disagree on the forced id"),
+])
+def test_canonicalize_structural_guards(monkeypatch, edit, message):
+    """Each guard after the orthogonality check, on an edited G_3 that the
+    stubbed check passes.
+
+    The fifth guard, "forced renaming is not a bijection", cannot fire once
+    these four pass: the rows are then the C(2m,m+1) distinct ids, their
+    forced ids are exactly the k weight-m masks, and each variable's
+    instances force one of them, so k variables fill k classes.
+    """
+    monkeypatch.setattr("codlib.equivalence.verify_symbolic",
+                        lambda cod: VerificationReport(()))
+    g = construct_g(3)
+    codes = array("q", g.codes)
+    edit(codes)
+    with pytest.raises(InvalidDesignError) as info:
+        canonicalize(CodMatrix(g.n, codes, g.ids))
+    assert str(info.value) == message
 
 
 def test_equivalent_known_design_and_standard(eq3):

@@ -404,6 +404,13 @@ def test_verify_numeric_is_exact_at_the_largest_designs():
     assert not verify_numeric(CodMatrix(g.n, codes, g.ids), trials=1)
 
 
+def test_from_rows_refuses_rows_of_unequal_lengths(eq3):
+    rows = [list(r) for r in eq3.cells]
+    rows[1].pop()
+    with pytest.raises(ParameterError, match="^rows have unequal lengths$"):
+        CodMatrix.from_rows(2, rows)
+
+
 def test_m_is_derived_from_n(eq3):
     assert eq3.m == 2
     with pytest.raises(ParameterError):

@@ -74,7 +74,7 @@ def test_family_mode_rejects_non_family_parameters():
 
 
 def test_free_mode_size_guard():
-    with pytest.raises(ParameterError):
+    with pytest.raises(BudgetExceededError):  # 13^20 candidates
         enumerate_cods(SearchSpec(p=4, n=5, k=3, mode="free"))
 
 
@@ -129,8 +129,6 @@ def flat_family(spec, gram=reference_gram_entry, kept=None):
 
 
 def flat_free(spec, kept=None):
-    if spec.n > 3:
-        raise ParameterError("free mode is limited to n <= 3")
     length = max(2, spec.k.bit_length() + 1, spec.k)
     variables = [BitVec(length, 1 << i) for i in range(spec.k)]
     options: list[Optional[Entry]] = [None]
@@ -189,13 +187,13 @@ def test_family_search_matches_the_flat_loop_with_a_tenth_of_the_gram_entries(
         return gram_entry(*args)
 
     monkeypatch.setattr(oracle, "gram_entry", counting_gram_entry)
-    searched, classify = [], oracle._classify
+    searched, verify = [], oracle.verify_symbolic
 
-    def recording_classify(classes, cand, canon):
+    def recording_verify(cand):
         searched.append(cand)
-        classify(classes, cand, canon)
+        return verify(cand)
 
-    monkeypatch.setattr(oracle, "_classify", recording_classify)
+    monkeypatch.setattr(oracle, "verify_symbolic", recording_verify)
     spec = SearchSpec(4, 3, 3, "family")
     flat = []
     want = flat_family(spec, counting_reference, flat)
@@ -210,7 +208,8 @@ def test_family_search_matches_the_flat_loop_with_a_tenth_of_the_gram_entries(
 @pytest.mark.parametrize(
     "p, n, k",
     [(1, 1, 1), (2, 1, 1), (1, 2, 1), (2, 2, 1), (2, 2, 2), (1, 1, 5),
-     (1, 3, 1), (3, 2, 1), (2, 1, 0), (1, 0, 1), (0, 2, 1), (2, 0, 0), (0, 2, 0)],
+     (1, 3, 1), (3, 2, 1), (1, 4, 1), (2, 1, 0), (1, 0, 1), (0, 2, 1), (2, 0, 0),
+     (0, 2, 0)],
 )
 def test_free_search_matches_the_flat_loop(p, n, k):
     spec = SearchSpec(p, n, k, "free")
@@ -219,16 +218,28 @@ def test_free_search_matches_the_flat_loop(p, n, k):
 
 @pytest.mark.parametrize("p, n, k", [(2, 2, 2), (3, 2, 1)])
 def test_free_search_keeps_designs_in_the_flat_order(monkeypatch, p, n, k):
-    searched, classify = [], oracle._classify
+    searched, verify = [], oracle.verify_symbolic
 
-    def recording_classify(classes, cand, canon):
+    def recording_verify(cand):
         searched.append(cand)
-        classify(classes, cand, canon)
+        return verify(cand)
 
-    monkeypatch.setattr(oracle, "_classify", recording_classify)
+    monkeypatch.setattr(oracle, "verify_symbolic", recording_verify)
     spec, flat = SearchSpec(p, n, k, "free"), []
     assert enumerate_cods(spec) == flat_free(spec, flat)
     assert searched == flat and flat
+
+
+def test_the_leaf_check_raises_on_a_design_the_search_kept(monkeypatch):
+    # a prune that passes every entry sends all 625 candidates to the leaf,
+    # whose verify_symbolic must raise on the first invalid one, not keep
+    # the 32 valid ones
+    def passing(grid, n, a, b, rows):
+        return {(2, 3): 1} if a == b else {}  # the target of each entry at k=1
+
+    monkeypatch.setattr(oracle, "gram_entry", passing)
+    with pytest.raises(AssertionError, match="the search kept a non-orthogonal design"):
+        enumerate_cods(SearchSpec(2, 2, 1, "free"))
 
 
 @pytest.mark.parametrize(
