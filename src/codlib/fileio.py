@@ -104,11 +104,14 @@ def _bitvec(item, key: str, where: str) -> BitVec:
 
 
 def _decode(text: str, object_hook=None):
-    """json.loads, with a malformed text's error located by line."""
+    """json.loads, with a malformed text's error located by line, or at
+    `document` for nesting too deep or an integer literal too long."""
     try:
         return json.loads(text, object_hook=object_hook)
     except json.JSONDecodeError as exc:
         raise MalformedFileError(f"not valid JSON: {exc}", f"line {exc.lineno}")
+    except (RecursionError, ValueError) as exc:
+        raise MalformedFileError(f"not valid JSON: {exc}", "document") from None
 
 
 def _check_header(doc, fmt: str) -> dict:

@@ -14,9 +14,9 @@ code once.  `CodMatrix.from_rows` is the one encoder of `Entry` rows and
 Orthogonality is checked exactly, over commuting symbols, and by an exact
 randomized identity test at seeded integer points.  The diagonal Gram entry
 (a, a) is right iff column a holds every variable once; then a monomial
-conj(O[r,a]) O[r,b] can cancel only against one row r', and the test that
-it does passes from r iff it passes from r'; so each Alamouti block is tested
-once, and a count of the tests closes the check without expanding an entry.
+conj(O[r,a]) O[r,b] can cancel only against one row r', and one pass tests
+each Alamouti block from one of its rows, since a failing untested pair
+always leads down to a failing tested one.
 """
 
 from __future__ import annotations
@@ -198,14 +198,14 @@ def _check_gram(cod: CodMatrix) -> VerificationReport:
     can cancel only against row r' = the row where column a holds O[r,b]'s
     variable, and it does iff O[r',b] is O[r,a]'s variable with the other
     conjugation flag, O[r',a] has the other flag than O[r,b], and the two
-    sign products differ; never if r' = r.  A pass from r is a pass from r'
-    with partner r, so passes pair up within a column pair, the two rows of
-    an Alamouti block.  The first pass tests only the pairs whose r' comes
-    after r: if all T pass and the rows hold 2T pairs of nonzero cells
-    (w(w-1)/2 in a row of weight w), their T untested mates are the rest;
-    a valid design has both.  Otherwise a second pass tests every pair, and
-    `gram_entry` expands only the entries it finds failing and those of
-    columns whose diagonal fails, to report their residuals.
+    sign products differ; never if r' = r or O[r',b] is zero.  The pass
+    tests the pair (a, b) of row r unless r' comes earlier and O[r',b] is
+    nonzero.  The test is symmetric, so if r fails, r' fails: were r' to
+    pass, its own partner would be the row where column b holds O[r,b]'s
+    variable, which is r.  Following partners down ends at a tested
+    failure, so the pass finds every failing pair.  `gram_entry` expands
+    only those entries, or every entry if a column's diagonal fails, to
+    report their residuals.
     """
     n, codes = cod.n, cod.codes
     cols_all = range(n)
@@ -223,13 +223,10 @@ def _check_gram(cod: CodMatrix) -> VerificationReport:
         rows.append(cols)
     bad_columns.update(a for a in cols_all if -1 in at[a][1:])
     bad_pairs = set()
-    for full in (True,) if bad_columns else (False, True):
-        tests = instances = base = 0
+    if not bad_columns:
+        base = 0
         for cols in rows:
-            instances += len(cols) * (len(cols) - 1) // 2
             for i, a in enumerate(cols, 1):
-                if a in bad_columns:
-                    continue
                 t = codes[base + a]
                 col = at[a]
                 for b in cols[i:]:
@@ -238,15 +235,12 @@ def _check_gram(cod: CodMatrix) -> VerificationReport:
                     # and, together with x, in sign parity.
                     u = codes[base + b]
                     q = col[u >> 2]
-                    if full or q > base:
-                        tests += 1
+                    if q >= base or not codes[q + b]:
                         x = codes[q + b] ^ t
                         if x >> 1 != 1 or x ^ u ^ codes[q + a] != 1:
                             bad_pairs.add((a, b))
-            if bad_pairs and not full:
-                break  # the full pass reports them
             base += n
-        if not (full or bad_pairs) and 2 * tests == instances:
+        if not bad_pairs:
             return VerificationReport(())
 
     failures = []
@@ -256,7 +250,7 @@ def _check_gram(cod: CodMatrix) -> VerificationReport:
             residual.subtract({(v << 1, v << 1 | 1): 1 for v in range(1, cod.k + 1)})
             failures.append(((a + 1,), residual))
         for b in range(a + 1, n):
-            if (a, b) in bad_pairs or bad_columns & {a, b}:
+            if bad_columns or (a, b) in bad_pairs:
                 acc = gram_entry(codes, n, a, b, range(cod.p))
                 if acc:
                     failures.append(((a + 1, b + 1), acc))

@@ -144,6 +144,20 @@ def test_malformed_input_is_exit_3(tmp_path, capsys, command, text):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "command", [["verify"], ["verify", "--certificate"], ["canonicalize"], ["analyze"]]
+)
+@pytest.mark.parametrize(
+    "text", ["[" * 100_000 + "]" * 100_000, "1" * 5000], ids=["deep-nesting", "long-integer"]
+)
+def test_json_that_json_loads_cannot_build_is_exit_3(tmp_path, capsys, command, text):
+    path = tmp_path / "in.json"
+    path.write_text(text)
+    assert run(command[0], str(path), *command[1:]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 # Fuzz seeds, half of them valid: the valid documents, or a malformed case
 # that parses.  An edited field gets a value that field has in a valid
 # document, or any JSON value.

@@ -62,6 +62,20 @@ def test_design_rejects_bad_json():
         design_from_json("not json at all")
 
 
+# Texts that json.loads refuses with RecursionError or ValueError, not
+# JSONDecodeError: nesting deeper than the recursion limit, and an integer
+# literal longer than the 4300-digit conversion limit.
+UNBUILDABLE_JSON = {"deep-nesting": "[" * 100_000 + "]" * 100_000, "long-integer": "1" * 5000}
+
+
+@pytest.mark.parametrize("load", [design_from_json, certificate_from_json])
+@pytest.mark.parametrize("name", sorted(UNBUILDABLE_JSON))
+def test_loaders_reject_json_that_json_loads_cannot_build(load, name):
+    with pytest.raises(MalformedFileError) as exc:
+        load(UNBUILDABLE_JSON[name])
+    assert exc.value.location == "document"
+
+
 def test_design_rejects_missing_field():
     with pytest.raises(MalformedFileError) as exc:
         design_from_json('{"format": "cod-design", "version": 1}')

@@ -191,6 +191,12 @@ def _eq3_edited(edit):
     return CodMatrix.from_rows(2, rows)
 
 
+def _g2_column_2_rows_1_3_swapped():
+    rows = [list(r) for r in construct_g(2).cells]
+    rows[0][1], rows[2][1] = rows[2][1], rows[0][1]
+    return CodMatrix.from_rows(2, rows)
+
+
 Z1, Z2, Z3 = (BitVec(4, 1 << (i - 1)) for i in (1, 2, 3))
 
 EDGE_CASES = {
@@ -209,6 +215,11 @@ EDGE_CASES = {
         _eq3_edited(lambda rows: rows[1].__setitem__(0, None)), False),
     "column-holds-a-variable-twice": (
         _eq3_edited(lambda rows: rows.append([Entry(Z1), None, None])), False),
+    # every column still holds each variable once, but the partner of row
+    # 2's pair of columns 1,2 is row 1, whose column-2 cell is now zero: a
+    # pass that skips pairs by row order alone accepts it
+    "partner-row-has-a-zero-cell": (
+        _g2_column_2_rows_1_3_swapped(), False),
     "k-0-all-zero": (CodMatrix.from_rows(2, [[None] * 3] * 4), True),
     "n-1": (CodMatrix.from_rows(1, [[Entry(Z1)], [None], [Entry(Z2, -1, True)]]), True),
     "n-1-variable-twice": (CodMatrix.from_rows(1, [[Entry(Z1)], [Entry(Z1, -1)]]), False),
