@@ -3,8 +3,8 @@
 Canonicalization normalizes a design of the maximal-rate minimal-delay
 family [C(2m,m-1), 2m-1, C(2m-1,m-1)] to a unique representative.
 `canonicalize` does the four steps below in one function: one pass over the
-rows computes every row id, one read of each variable's instances gives both
-its separation flip and its forced id, and only the output design is built.
+rows computes every row id, one reading-order pass over the cells checks the
+instances and builds the sign forest, and only the output design is built.
 
 1. restore conjugation separation (flip whole variables so that rows with
    m nonzero entries are conjugated, rows with m+1 are not);
@@ -208,46 +208,18 @@ def canonicalize(cod: CodMatrix) -> CodMatrix:
 
     # Rows: separation conjugates exactly the rows with m nonzero cells, so
     # the row id is the zero pattern plus that flag as bit 2m.
-    # Variables: a variable separates when all of its instances agree, or all
-    # disagree, with their row's flag (the latter get flipped); an instance in
-    # row r, column c forces the id ids[r] ^ e_c, ^ e if row r is conjugated.
-    conj: list[bool] = []
     ids: list[int] = []
-    agree = [0] * (k + 1)  # per var_id: bit 0 if an instance agrees, bit 1 if one disagrees
-    forced = [-1] * (k + 1)  # per var_id: the id its first instance forces
-    clash = [False] * (k + 1)  # per var_id: a later instance forces another id
-    for base, pattern in zip(range(0, p * n, n), cod.patterns):
+    for pattern in cod.patterns:
         weight = pattern.bit_count()
         if weight not in (m, m + 1):
             raise InvalidDesignError("row nonzero counts are not m or m+1")
-        conj.append(weight == m)
-        ids.append(pattern | conj[-1] << n)
-        flip = ids[-1] ^ e if conj[-1] else ids[-1]
-        row = codes[base:base + n]
-        for c in compress(range(n), row):
-            x = row[c]
-            v = x >> 2
-            agree[v] |= 1 << (conj[-1] ^ (x >> 1 & 1))
-            if forced[v] < 0:
-                forced[v] = flip ^ bits[c]
-            elif forced[v] != flip ^ bits[c]:
-                clash[v] = True
-    for v in range(1, k + 1):
-        if agree[v] == 3:
-            raise InvalidDesignError(
-                f"variable {cod.ids[v - 1]} cannot be conjugation separated"
-            )
-    if len(set(ids)) != p:
-        raise InvalidDesignError("row identifiers are not distinct weight-(m+1)")
-    for v in range(1, k + 1):
-        if clash[v]:
-            raise InvalidDesignError(
-                f"instances of {cod.ids[v - 1]} disagree on the forced id"
-            )
-    renamed = sorted(forced[1:])
-    if len(set(renamed)) != k:
-        raise InvalidDesignError("forced renaming is not a bijection")
+        ids.append(pattern | (weight == m) << n)
+    order = sorted(range(p), key=ids.__getitem__)
 
+    # One pass over the cells checks the instances and builds the forest.
+    # Variables: a variable separates when all of its instances agree, or all
+    # disagree, with their row's flag (the latter get flipped); an instance in
+    # row r, column c forces the id ids[r] ^ e_c, ^ e if row r is conjugated.
     # Signs: rows are forest nodes 0..p-1 and var_id v is node p+v-1, one
     # edge per nonzero cell.  Row and variable negations span the cut space
     # of this graph.  Joining the cells in reading order (rows by id, cells
@@ -256,12 +228,24 @@ def canonicalize(cod: CodMatrix) -> CodMatrix:
     # earlier cell.  So the coset element that is + on every forest edge is
     # the least one.  A union-find with parity, union by size, builds it:
     # parity[x] is x's potential relative to parent[x], fixed once x is linked.
+    agree = [0] * (k + 1)  # per var_id: bit 0 if an instance agrees, bit 1 if one disagrees
+    forced = [-1] * (k + 1)  # per var_id: the id its first instance forces
+    clash = [False] * (k + 1)  # per var_id: a later instance forces another id
     parent, parity, size = list(range(p + k)), [0] * (p + k), [1] * (p + k)
     linked = []  # the nodes in the order they stopped being roots
-    order = sorted(range(p), key=ids.__getitem__)
     for r in order:
-        for x in filter(None, codes[r * n:r * n + n]):
-            a, pa, b, pb = r, 0, p - 1 + (x >> 2), x & 1
+        conj = ids[r] >> n
+        flip = ids[r] ^ e if conj else ids[r]
+        row = codes[r * n:r * n + n]
+        for c in compress(range(n), row):
+            x = row[c]
+            v = x >> 2
+            agree[v] |= 1 << (conj ^ (x >> 1 & 1))
+            if forced[v] < 0:
+                forced[v] = flip ^ bits[c]
+            elif forced[v] != flip ^ bits[c]:
+                clash[v] = True
+            a, pa, b, pb = r, 0, p - 1 + v, x & 1
             while parent[a] != a:
                 pa ^= parity[a]
                 a = parent[a]
@@ -274,6 +258,23 @@ def canonicalize(cod: CodMatrix) -> CodMatrix:
                 parent[a], parity[a] = b, pa ^ pb
                 size[b] += size[a]
                 linked.append(a)
+    for v in range(1, k + 1):
+        if agree[v] == 3:
+            raise InvalidDesignError(
+                f"variable {cod.ids[v - 1]} cannot be conjugation separated"
+            )
+    if len(set(ids)) != p:
+        raise InvalidDesignError("row identifiers are not distinct weight-(m+1)")
+    for v in range(1, k + 1):
+        if clash[v]:
+            raise InvalidDesignError(
+                f"instances of {cod.ids[v - 1]} disagree on the forced id"
+            )
+    # The renaming is a bijection: the rows are now each weight-(m+1) id once,
+    # so for a weight-m mask w below e_2m and a column c in w, conjugated row
+    # w ^ e ^ e_c is nonzero at c and forces w.  Each variable forces one
+    # mask, so the k variables take the k masks, one each.
+    renamed = sorted(forced[1:])
     potential = [0] * (p + k)  # per node, its parity relative to its root
     for a in reversed(linked):  # a's parent was linked later, or is a root
         potential[a] = parity[a] ^ potential[parent[a]]
@@ -282,7 +283,7 @@ def canonicalize(cod: CodMatrix) -> CodMatrix:
     out = [0] + [new_id[forced[v]] | potential[p - 1 + v] for v in range(1, k + 1)]
     result = array("q")
     for r in order:
-        row_bits = conj[r] << 1 | potential[r]
+        row_bits = ids[r] >> n << 1 | potential[r]  # conjugated, negated
         result.extend([
             x and out[x >> 2] ^ (x & 1) ^ row_bits for x in codes[r * n:r * n + n]
         ])

@@ -118,10 +118,9 @@ def _check_header(doc, fmt: str) -> dict:
     """Check a versioned document's format and version."""
     if _require(doc, "format", "document") != fmt:
         raise MalformedFileError(f"unexpected format {doc['format']!r}", "format")
-    if _require(doc, "version", "document") != FORMAT_VERSION:
-        raise MalformedFileError(
-            f"unsupported version {doc['version']!r}", "version"
-        )
+    version = _require(doc, "version", "document")
+    if type(version) is not int or version != FORMAT_VERSION:  # not True or 1.0
+        raise MalformedFileError(f"unsupported version {version!r}", "version")
     return doc
 
 

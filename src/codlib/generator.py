@@ -62,8 +62,8 @@ def _build_g(m: int, extend: bool = False) -> CodMatrix:
     flags = [[j << 1 | (m + 1 + (c + 1) // 2 + j * (1 - c % 2)) % 2 for c in range(n)]
              for j in (0, 1)]
     bits = [(c, 1 << c) for c in range(n)]
+    pin = m // 2 % 2  # see extend_g
     codes = array("q")
-    pin = None
     for a in _masks(two_m, m + 1):
         conj = a >> n
         x = a ^ e if conj else a  # the cell at set bit c holds variable x ^ e_c
@@ -76,13 +76,7 @@ def _build_g(m: int, extend: bool = False) -> CodMatrix:
                 below ^= 1
         codes.extend(row)
         if extend:
-            if conj:
-                phi = (a & even).bit_count() % 2
-                if pin is None:
-                    pin = phi
-                codes.append(var_ids[a ^ top] | phi ^ pin)
-            else:
-                codes.append(0)
+            codes.append(var_ids[a ^ top] | ((a & even).bit_count() + pin) % 2 if conj else 0)
     return CodMatrix(n + 1 if extend else n, codes, tuple(BitVec(two_m, v) for v in masks))
 
 
@@ -191,7 +185,8 @@ def extend_g(m: int) -> ExtensionResult:
     A step along column i maps conjugated row a to b = a ^ e ^ e_2m ^ e_i
     and requires phi(a) ^ phi(b) = i mod 2.  Let phi(a) be the parity of a
     on the even columns 2, 4, ..., 2m-2, pinned to 0 on the smallest
-    conjugated row.
+    conjugated row.  That row has ones at 1..m and 2m, so m/2 of its ones
+    sit on even columns and the pin adds m/2 mod 2 to every phi.
     - Two steps along columns i and j move a 1 of a from i to j, so the
       constraint graph is connected and phi is unique up to a global flip.
     - One step flips phi by (m-1-[i even]) mod 2, which equals i mod 2

@@ -144,6 +144,13 @@ def test_malformed_input_is_exit_3(tmp_path, capsys, command, text):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_boolean_version_is_exit_3(tmp_path, capsys):
+    path = tmp_path / "in.json"
+    path.write_text(_edited(G2, version=True))
+    assert run("verify", str(path)) == 3
+    assert capsys.readouterr().err == "error: unsupported version True (at version)\n"
+
+
 @pytest.mark.parametrize(
     "command", [["verify"], ["verify", "--certificate"], ["canonicalize"], ["analyze"]]
 )

@@ -310,20 +310,31 @@ def _swap(codes):  # 101100 and 011100 trade columns 1 and 2 in row 1
     codes[0], codes[1] = codes[1], codes[0]
 
 
+def _then(first, second):  # the two edits in turn
+    def edit(codes):
+        first(codes)
+        second(codes)
+    edit.__name__ = f"{first.__name__}+{second.__name__}"
+    return edit
+
+
 @pytest.mark.parametrize("edit, message", [
     (_zero_two, "row nonzero counts are not m or m+1"),
     (_flip_conj, "variable 011100 cannot be conjugation separated"),
     (_copy_row, "row identifiers are not distinct weight-(m+1)"),
     (_swap, "instances of 101100 disagree on the forced id"),
+    (_then(_copy_row, _flip_conj), "variable 011100 cannot be conjugation separated"),
+    (_then(_flip_conj, _swap), "variable 011100 cannot be conjugation separated"),
+    (_then(_swap, _copy_row), "row identifiers are not distinct weight-(m+1)"),
+    (_then(_copy_row, _zero_two), "row nonzero counts are not m or m+1"),
 ])
 def test_canonicalize_structural_guards(monkeypatch, edit, message):
     """Each guard after the orthogonality check, on an edited G_3 that the
-    stubbed check passes.
+    stubbed check passes; an input that fails several guards gets the
+    message of the first in canonicalize's order.
 
-    The fifth guard, "forced renaming is not a bijection", cannot fire once
-    these four pass: the rows are then the C(2m,m+1) distinct ids, their
-    forced ids are exactly the k weight-m masks, and each variable's
-    instances force one of them, so k variables fill k classes.
+    No guard checks that the forced renaming is a bijection: once these four
+    pass it is one, as the comment before `renamed` in canonicalize proves.
     """
     monkeypatch.setattr("codlib.equivalence.verify_symbolic",
                         lambda cod: VerificationReport(()))

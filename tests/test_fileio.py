@@ -110,6 +110,21 @@ def test_loaders_check_header(load, text):
             load(bad)
 
 
+@pytest.mark.parametrize(
+    "load, text",
+    [
+        (design_from_json, design_to_json(construct_g(2))),
+        (certificate_from_json, certificate_to_json(3, extend_g(3).certificate)),
+    ],
+    ids=["design", "certificate"],
+)
+@pytest.mark.parametrize("version", ["true", "1.0"])
+def test_loaders_reject_a_version_equal_to_1_that_is_not_an_int(load, text, version):
+    with pytest.raises(MalformedFileError) as exc:
+        load(text.replace('"version": 1', f'"version": {version}'))
+    assert str(exc.value) == f"unsupported version {json.loads(version)!r} (at version)"
+
+
 def test_certificate_round_trip():
     res = extend_g(3)
     text = certificate_to_json(3, res.certificate)
