@@ -51,34 +51,6 @@ class StructuralReport(Record):
         return all(c.ok for c in self.checks)
 
 
-def _check_pattern_relations(cod: CodMatrix, index: list[list[int]]) -> CheckResult:
-    """Same-variable instance pairs: equal conjugation means the two zero
-    patterns differ exactly at the instance columns; opposite conjugation
-    means they agree exactly there.  Keyed by w = P[r] ^ e_c ^ (full if
-    conjugated), two instances in columns c_i != c_j meet the condition
-    P[r_i] ^ P[r_j] ^ (full if the flags differ) == e_{c_i} ^ e_{c_j} iff
-    w_i == w_j (move one e and one flag term to each side), so only a
-    variable with two keys or a repeated column needs the pair loop."""
-    n, codes, patterns = cod.n, cod.codes, cod.patterns
-    full = (1 << n) - 1
-    flip, bits = [0, 0, full], [1 << c for c in range(n)]  # flip[conj flag << 1]
-    witnesses = []
-    for var, positions in zip(cod.ids, index):
-        keys = {patterns[pos // n] ^ bits[pos % n] ^ flip[codes[pos] & 2] for pos in positions}
-        if len(keys) == 1 and len({pos % n for pos in positions}) == len(positions):
-            continue
-        inst = [(*divmod(pos, n), codes[pos] & 2) for pos in positions]
-        for a, (ra, ca, xa) in enumerate(inst, 1):
-            for rb, cb, xb in inst[a:]:
-                got = patterns[ra] ^ patterns[rb]
-                if xa != xb:
-                    got ^= full
-                if got != 1 << ca | 1 << cb:
-                    cols = [i for i in range(1, n + 1) if got >> (i - 1) & 1]
-                    witnesses.append((var, (ra + 1, ca + 1), (rb + 1, cb + 1), cols))
-    return CheckResult("zero_pattern_relations", witnesses)
-
-
 def _check_pattern_completeness(cod: CodMatrix) -> CheckResult:
     """Minimal-delay designs carry every admissible zero pattern once:
     weights m and m+1 for n = 2m-1, weight m+1 for n = 2m."""
@@ -98,38 +70,54 @@ def _check_pattern_completeness(cod: CodMatrix) -> CheckResult:
     return CheckResult("zero_pattern_completeness", witnesses)
 
 
-def _check_block_structure(cod: CodMatrix, index: list[list[int]]) -> CheckResult:
-    """Maximal-rate shape: each variable splits (m,m-1)/(m-1,m) across
-    plain and conjugate instances ((m,m) for n = 2m), and the coupling
-    block has no zero entries."""
+def structural_report(cod: CodMatrix) -> StructuralReport:
+    """Check the zero-pattern structure in one pass over each variable's
+    instances, split into plain (`top`) and conjugated (`bottom`) ones.
+
+    zero_pattern_relations: same-variable instance pairs.  Equal
+    conjugation means the two zero patterns differ exactly at the instance
+    columns; opposite conjugation means they agree exactly there.  Keyed by
+    w = P[r] ^ e_c ^ (full if conjugated), two instances in columns
+    c_i != c_j meet the condition P[r_i] ^ P[r_j] ^ (full if the flags
+    differ) == e_{c_i} ^ e_{c_j} iff w_i == w_j (move one e and one flag
+    term to each side), so only a variable with two keys or a repeated
+    column needs the pair loop.
+
+    block_structure: maximal-rate shape.  Each variable splits
+    (m,m-1)/(m-1,m) across plain and conjugate instances ((m,m) for
+    n = 2m), and the coupling block has no zero entries."""
     m, n, codes, patterns = cod.m, cod.n, cod.codes, cod.patterns
-    if n == 2 * m - 1:
-        shapes = {(m, m - 1), (m - 1, m)}
-    else:
-        shapes = {(m, m)}
-    witnesses = []
-    for var, positions in zip(cod.ids, index):
-        top = [pos for pos in positions if not codes[pos] & 2]
-        bottom = [pos for pos in positions if codes[pos] & 2]
+    full = (1 << n) - 1
+    shapes = {(m, m - 1), (m - 1, m)} if n == 2 * m - 1 else {(m, m)}
+    # index[var_id - 1]: the (top, bottom) positions r * n + c of the variable's cells, row-major
+    index: list[tuple[list[int], list[int]]] = [([], []) for _ in cod.ids]
+    for pos, code in enumerate(codes):
+        if code:
+            index[(code >> 2) - 1][code >> 1 & 1].append(pos)
+    relations, blocks = [], []
+    for var, (top, bottom) in zip(cod.ids, index):
+        keys = {patterns[pos // n] ^ 1 << pos % n for pos in top}
+        keys.update(patterns[pos // n] ^ full ^ 1 << pos % n for pos in bottom)
+        if len(keys) > 1 or len({pos % n for pos in top + bottom}) < len(top) + len(bottom):
+            inst = [(*divmod(pos, n), codes[pos] & 2) for pos in sorted(top + bottom)]
+            for a, (ra, ca, xa) in enumerate(inst, 1):
+                for rb, cb, xb in inst[a:]:
+                    got = patterns[ra] ^ patterns[rb]
+                    if xa != xb:
+                        got ^= full
+                    if got != 1 << ca | 1 << cb:
+                        cols = [i for i in range(1, n + 1) if got >> (i - 1) & 1]
+                        relations.append((var, (ra + 1, ca + 1), (rb + 1, cb + 1), cols))
         if (len(top), len(bottom)) not in shapes:
-            witnesses.append(("shape", var, (len(top), len(bottom))))
+            blocks.append(("shape", var, (len(top), len(bottom))))
             continue
         block = sum({1 << pos % n for pos in bottom})  # the conjugate-instance columns
         if any(patterns[pos // n] & block != block for pos in top):
-            witnesses.append(("zero-in-coupling-block", var))
-    return CheckResult("block_structure", witnesses)
-
-
-def structural_report(cod: CodMatrix) -> StructuralReport:
-    # index[var_id - 1]: the positions r * n + c of the variable's cells, row-major
-    index: list[list[int]] = [[] for _ in cod.ids]
-    for pos, code in enumerate(cod.codes):
-        if code:
-            index[(code >> 2) - 1].append(pos)
+            blocks.append(("zero-in-coupling-block", var))
     return StructuralReport(
         checks=[
-            _check_pattern_relations(cod, index),
+            CheckResult("zero_pattern_relations", relations),
             _check_pattern_completeness(cod),
-            _check_block_structure(cod, index),
+            CheckResult("block_structure", blocks),
         ]
     )

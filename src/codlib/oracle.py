@@ -84,6 +84,8 @@ def enumerate_cods(spec: SearchSpec) -> list[EquivalenceClass]:
     if estimate > BUDGET:
         raise BudgetExceededError(estimate, BUDGET)
     p, n = spec.p, spec.n
+    if spec.k < 0:
+        raise ParameterError(f"k must be >= 0, got {spec.k}")
     if spec.k and not p * n:
         return []  # no cell to hold the k variables
     if p < 1 or n < 1:

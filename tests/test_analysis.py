@@ -213,8 +213,10 @@ def _move_a_cell_to_a_zero_column(rows):
 ], ids=["g3", "conjugated-cell", "zeroed-cell", "moved-cell", "dropped-row"])
 def test_block_witnesses_match_the_cell_reference(edit, kinds):
     cod = _edited_g3(edit)
-    got = structural_report(cod).checks[2]
+    checks = structural_report(cod).checks
+    got = checks[2]
     assert got.witnesses == _reference_block_witnesses(cod)
+    assert [c.witnesses for c in checks[:2]] == _reference_pattern_witnesses(cod)
     assert {w[0] for w in got.witnesses} == kinds and got.ok == (not kinds)
 
 

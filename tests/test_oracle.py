@@ -64,6 +64,12 @@ def test_search_depth_is_not_bounded_by_the_recursion_limit():
     assert not any(classes[0].sample.codes)
 
 
+@pytest.mark.parametrize("p, n, k", [(1, 1, -1), (2, 2, -3), (0, 2, -1)])
+def test_free_mode_rejects_a_negative_k(p, n, k):
+    with pytest.raises(ParameterError, match=f"^k must be >= 0, got {k}$"):
+        enumerate_cods(SearchSpec(p, n, k, "free"))
+
+
 def test_search_spec_fields():
     assert SearchSpec._fields == ("p", "n", "k", "mode")
 
