@@ -140,9 +140,6 @@ def _reject_entry(item, where: str, p: int, n: int, codes: array) -> NoReturn:
     raise AssertionError(f"{where} passed every check")
 
 
-_NOT_A_CELL = (0, 0, 0, None)  # fails the row range check
-
-
 def design_from_json(text: str) -> CodMatrix:
     texts: dict[str, str] = {}  # var text -> the one copy that cells keep
     folds = 0
@@ -199,12 +196,12 @@ def design_from_json(text: str) -> CodMatrix:
     var_ids = {var: v << 2 for v, (_, var) in enumerate(accepted, 1)}
     codes = array("q", bytes(8 * p * n))
     for idx, item in enumerate(_list(doc, "entries")):
-        r, c, flags, var = item if type(item) is tuple else _NOT_A_CELL
-        if 0 < r <= p and 0 < c <= n and not codes[pos := (r - 1) * n + c - 1]:
-            if v := var_ids.get(var):
-                codes[pos] = v | flags
-                continue
-        if type(item) is tuple:  # the entry as it was read
+        if type(item) is tuple:  # a folded cell; if rejected, rebuilt as read
+            r, c, flags, var = item
+            if 0 < r <= p and 0 < c <= n and not codes[pos := (r - 1) * n + c - 1]:
+                if v := var_ids.get(var):
+                    codes[pos] = v | flags
+                    continue
             item = {"row": r, "col": c, "sign": "-" if flags & 1 else "+",
                     "conj": bool(flags & 2), "var": var}
         _reject_entry(item, f"entries[{idx}]", p, n, codes)
@@ -247,7 +244,7 @@ def certificate_from_json(text: str) -> tuple[int, list[Constraint]]:
 
 
 def _op_kinds() -> dict[str, tuple[type, Callable[[str], object], Optional[int]]]:
-    """kind -> (op class, argument parser, argument count or None for any)."""
+    """kind -> (op class, argument parser, argument count or None for one or more)."""
     from .equivalence import ColPerm, ConjVar, NegCol, NegRow, NegVar, RenameVar, RowPerm
 
     bits = BitVec.from_string
@@ -279,8 +276,8 @@ def op_from_line(line: str) -> EquivOp:
         raise MalformedFileError(f"unknown op kind {kind!r}")
     cls, parse, count = kinds[kind]
     try:
-        if count is not None and len(args) != count:
-            raise ValueError(f"{kind} takes {count} argument(s), got {len(args)}")
+        if len(args) != count if count else not args:
+            raise ValueError(f"{kind} takes {count or 'at least 1'} argument(s), got {len(args)}")
         values = [parse(a) for a in args]
     except ValueError as exc:
         raise MalformedFileError(f"bad op line {line!r}: {exc}")

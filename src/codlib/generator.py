@@ -91,19 +91,23 @@ class InconsistencyCertificate(Record):
 
 
 def check_certificate(m: int, constraints: list[Constraint]) -> bool:
-    """Independent validation of an inconsistency certificate.
+    """Independent validation of an inconsistency certificate, in one pass.
 
     Re-derives each constraint (a, b, c) from its ends alone, in this order:
     a and b have length 2m, weight m+1 and bit 2m set; a ^ b ^ e ^ e_2m is
-    e_i for one column i <= 2m-1; bit i of a is 1; c = i mod 2.  Then the
-    parities must XOR to 1 and the constraints, in order, must close a walk.
-    An empty list, or any m < 1, is not a certificate.
+    e_i for one column i <= 2m-1; bit i of a is 1; c = i mod 2.  The
+    parities must XOR to 1, and the constraints, in order, must close a walk
+    from one of the first constraint's ends.  An empty list, or any m < 1,
+    is not a certificate.
     """
     if not constraints or m < 1:
         return False
     two_m = 2 * m
     top = 1 << (two_m - 1)  # e_2m
     flip = top - 1  # e ^ e_2m
+    at0 = s0 = constraints[0][0].mask
+    at1 = s1 = constraints[0][1].mask
+    parity = 0
     for a, b, c in constraints:
         if a.length != two_m or b.length != two_m:
             return False
@@ -118,19 +122,11 @@ def check_certificate(m: int, constraints: list[Constraint]) -> bool:
         i = step.bit_length()
         if i > two_m - 1 or not x >> (i - 1) & 1 or c != i % 2:
             return False
-    if sum(c for _, _, c in constraints) % 2 != 1:
-        return False
-
-    def closes_from(start: int) -> bool:
-        at = start
-        for a, b, _ in constraints:
-            if at != a.mask and at != b.mask:
-                return False
-            at ^= a.mask ^ b.mask  # the other end
-        return at == start
-
-    # the first constraint's orientation is not fixed; try both ends
-    return closes_from(constraints[0][0].mask) or closes_from(constraints[0][1].mask)
+        parity ^= i % 2  # c == i % 2 here, but c may be a float, which ^ refuses
+        # each walker steps to the other end, or is None once off the walk
+        at0 = at0 ^ x ^ y if at0 == x or at0 == y else None
+        at1 = at1 ^ x ^ y if at1 == x or at1 == y else None
+    return parity == 1 and (at0 == s0 or at1 == s1)
 
 
 class ExtensionResult(Record):

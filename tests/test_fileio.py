@@ -164,7 +164,7 @@ def test_op_log_writes_and_reads_every_kind():
 @pytest.mark.parametrize("line", [
     "negrow 3 4", "negrow", "negcol 1 2", "conjvar 1100 junk", "conjvar",
     "negvar 1100 0011", "renamevar 1100 0011 1111", "renamevar 1100",
-    "negrow x", "conjvar 12", "rowperm 1 x", "flip 1", "  ",
+    "negrow x", "conjvar 12", "rowperm 1 x", "flip 1", "  ", "rowperm", "colperm",
 ])
 def test_op_line_rejects_a_malformed_line(line):
     with pytest.raises(MalformedFileError):

@@ -1,5 +1,6 @@
 from itertools import combinations
 from math import comb
+import random
 
 import pytest
 
@@ -311,3 +312,91 @@ def test_check_certificate_rejects_tampering():
         accepted += [walk[::-1], [(q, p, r) for p, q, r in walk]]
         for cons in accepted:
             assert check_certificate(m, cons)
+
+
+def _reference_check_certificate(m, constraints):
+    """check_certificate as three passes: every rule, the parity sum, the walk."""
+    if not constraints or m < 1:
+        return False
+    two_m = 2 * m
+    top = 1 << (two_m - 1)  # e_2m
+    flip = top - 1  # e ^ e_2m
+    for a, b, c in constraints:
+        if a.length != two_m or b.length != two_m:
+            return False
+        x, y = a.mask, b.mask
+        if x.bit_count() != m + 1 or y.bit_count() != m + 1:
+            return False
+        if not x & top or not y & top:
+            return False
+        step = x ^ y ^ flip  # e_i
+        if step.bit_count() != 1:
+            return False
+        i = step.bit_length()
+        if i > two_m - 1 or not x >> (i - 1) & 1 or c != i % 2:
+            return False
+    if sum(c for _, _, c in constraints) % 2 != 1:
+        return False
+
+    def closes_from(start: int) -> bool:
+        at = start
+        for a, b, _ in constraints:
+            if at != a.mask and at != b.mask:
+                return False
+            at ^= a.mask ^ b.mask  # the other end
+        return at == start
+
+    # the first constraint's orientation is not fixed; try both ends
+    return closes_from(constraints[0][0].mask) or closes_from(constraints[0][1].mask)
+
+
+def _mutate(rng, walk):
+    """`walk` after one random edit: a constraint's parity or its type, ends,
+    presence, copy, one bit or length, or the list's order or length."""
+    walk = list(walk)
+    if not walk:
+        return walk
+    k = rng.randrange(len(walk))
+    a, b, c = walk[k]
+    edit = rng.randrange(10)
+    if edit == 0:
+        walk[k] = (a, b, 1 - c)
+    elif edit == 1:
+        walk[k] = (b, a, c)
+    elif edit == 2:
+        del walk[k]
+    elif edit == 3:
+        walk.insert(rng.randrange(len(walk) + 1), walk[k])
+    elif edit == 4:
+        end = rng.randrange(2)
+        v = (a, b)[end]
+        v = BitVec(v.length, v.mask ^ 1 << rng.randrange(v.length))
+        walk[k] = (v, b, c) if end == 0 else (a, v, c)
+    elif edit == 5:
+        walk[k] = (BitVec(a.length + 1, a.mask), b, c)
+    elif edit == 6:
+        rng.shuffle(walk)
+    elif edit == 7:
+        walk.reverse()
+    elif edit == 8:
+        walk = walk * 2
+    else:
+        walk[k] = (a, b, float(c))  # equal to c, so no rule refuses it
+    return walk
+
+
+def test_check_certificate_matches_the_three_pass_reference():
+    rng = random.Random(34)
+    walks = {m: _odd_walk(m) for m in range(1, 8)}
+    outcomes = set()
+    for _ in range(20000):
+        m = rng.randrange(1, 8)
+        cons = walks[m]
+        for _ in range(rng.randrange(4)):
+            cons = _mutate(rng, cons)
+        if rng.randrange(10) == 0:
+            m = rng.randrange(9)
+        got = check_certificate(m, cons)
+        assert got is _reference_check_certificate(m, cons), (m, cons)
+        outcomes.add(got)
+    assert outcomes == {False, True}
